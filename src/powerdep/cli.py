@@ -281,10 +281,6 @@ def _synth_meta(days, seed, flavor, start, hours):
 # ---------------------------------------------------------------------------
 
 
-def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _write_text(path, text, force):
     if os.path.exists(path) and not force:
         raise ConfigError(
@@ -390,7 +386,7 @@ def _load_panel(args, cfg):
 
 
 def _emit(artifacts):
-    print(_json_text({"artifacts": artifacts}), end="")
+    print(pipeline._json_bytes({"artifacts": artifacts}), end="")
     return 0
 
 
@@ -414,7 +410,9 @@ def _cmd_synth(args):
     _write_text(csv_path, records_to_csv_text(records), force)
     _write_text(
         meta_path,
-        _json_text(_synth_meta(days, seed, flavor, start, hours or tuple(range(24)))),
+        pipeline._json_bytes(
+            _synth_meta(days, seed, flavor, start, hours or tuple(range(24)))
+        ),
         force,
     )
     return _emit({"data": csv_path, "metadata": meta_path})
@@ -432,12 +430,12 @@ def _cmd_ingest(args):
     for hour in hours:
         panel = slice_hour(records, hour)
         path = os.path.join(out, f"panel_{hour:02d}.json")
-        _write_text(path, _json_text(panel.to_json_dict()), force)
+        _write_text(path, pipeline._json_bytes(panel.to_json_dict()), force)
         artifacts[f"panel_{hour:02d}"] = path
     meta_path = os.path.join(out, "ingest_meta.json")
     _write_text(
         meta_path,
-        _json_text({"hours": list(hours), "clock_changes": log}),
+        pipeline._json_bytes({"hours": list(hours), "clock_changes": log}),
         force,
     )
     artifacts["metadata"] = meta_path
@@ -456,7 +454,7 @@ def _cmd_fit_marginals(args):
     path = os.path.join(out, f"marginals_hour_{panel.hour:02d}.json")
     _write_text(
         path,
-        _json_text({"hour": panel.hour, "marginals": fits}),
+        pipeline._json_bytes({"hour": panel.hour, "marginals": fits}),
         _force(args, cfg),
     )
     return _emit({"marginals": path})
@@ -474,7 +472,7 @@ def _cmd_fit_vine(args):
     path = os.path.join(out, f"vine_hour_{panel.hour:02d}.json")
     _write_text(
         path,
-        _json_text(
+        pipeline._json_bytes(
             {
                 "hour": panel.hour,
                 "variables": list(panel.variable_names),
@@ -513,7 +511,7 @@ def _cmd_tail(args):
     )
     json_path = os.path.join(out, f"tail_hour_{result.hour:02d}.json")
     csv_path = os.path.join(out, f"tail_hour_{result.hour:02d}.csv")
-    _write_text(json_path, _json_text(result.to_json_dict()), force)
+    _write_text(json_path, pipeline._json_bytes(result.to_json_dict()), force)
     _write_text(csv_path, pipeline.render_csv(rows), force)
     return _emit({"tail_json": json_path, "tail_csv": csv_path})
 
@@ -553,7 +551,9 @@ def _cmd_roll(args):
     rows = pipeline.series_rows(GlobalRunResult(results=(), failures=()), results)
     json_path = os.path.join(out, "rolling.json")
     csv_path = os.path.join(out, "rolling.csv")
-    _write_text(json_path, _json_text([r.to_json_dict() for r in results]), force)
+    _write_text(
+        json_path, pipeline._json_bytes([r.to_json_dict() for r in results]), force
+    )
     _write_text(csv_path, pipeline.render_csv(rows), force)
     return _emit({"rolling_json": json_path, "rolling_csv": csv_path})
 

@@ -5,14 +5,23 @@ Tree 1 is the maximum spanning tree on the variables under the weight
 h-function transformed observations among edges allowed by the proximity
 condition (the greedy sequential method of Dissmann et al.).  Each edge
 carries one bivariate copula chosen by AIC, with the simplifying
-assumption throughout.  Simulation inverts the Rosenblatt transform along
-the tree sequence.
+assumption throughout.
+
+Fitting, the log-likelihood and simulation read F(v | D), the conditional
+distribution of v given the set D, from one memoised accessor: it applies
+the h-function of the unique edge whose constraint set is D | {v} to the
+streams of that edge's conditioned pair.  Simulation inverts the
+Rosenblatt transform: variable 0 first, then each time the smallest
+unsampled v for which {sampled} | {v}, shrunk by one variable per tree,
+always names an edge with v in its conditioned pair; that chain of edges
+is inverted deepest first.  These orders and chains are the columns of
+the R-vine array of Dissmann et al. (2013), derived rather than stored.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -127,26 +136,15 @@ def check_structure(structure):
     first = trees[0]
     if len(first) != n - 1:
         raise StructureError("tree 1 must have n - 1 edges")
-    seen = set()
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for edge in first:
         if edge.conditioning:
             raise StructureError("tree 1 edges cannot have conditioning sets")
         a, b = edge.conditioned
         if not (0 <= a < n and 0 <= b < n):
             raise StructureError(f"edge {edge.label()} names unknown variables")
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if not _union(parent, a, b):
             raise StructureError("tree 1 contains a cycle")
-        parent[ra] = rb
-        seen.add(edge)
 
     for level, tree in enumerate(trees[1:], start=2):
         prev = trees[level - 2]
@@ -172,11 +170,24 @@ def check_structure(structure):
                 raise StructureError(
                     f"edge {edge.label()} violates the proximity condition"
                 )
-            i, j = matches[0]
-            ri, rj = find(i), find(j)
-            if ri == rj:
+            if not _union(parent, *matches[0]):
                 raise StructureError(f"tree {level} contains a cycle")
-            parent[ri] = rj
+
+
+def _union(parent, i, j):
+    """Join the union-find classes of i and j; False if already joined."""
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    ri, rj = find(i), find(j)
+    if ri == rj:
+        return False
+    parent[ri] = rj
+    return True
 
 
 @dataclass
@@ -268,6 +279,39 @@ def _clip_stream(values):
     return np.clip(values, _STREAM_CLIP, 1.0 - _STREAM_CLIP)
 
 
+class _Streams:
+    """Memoised F(v | D) at the sample points, keyed by ``(v, D)``.
+
+    ``memo`` holds the streams known up front; a missing F(v | D) comes
+    from the edge of ``copulas`` whose constraint set is D | {v}.
+    """
+
+    def __init__(self, memo, copulas):
+        self.memo = memo
+        self.copulas = copulas
+        self.edges = {edge.constraint: edge for edge in copulas}
+
+    def add(self, edge, copula):
+        self.copulas[edge] = copula
+        self.edges[edge.constraint] = edge
+
+    def __call__(self, v, cond):
+        key = (v, cond)
+        if key not in self.memo:
+            edge = self.edges[cond | {v}]
+            margin = 2 if v == edge.conditioned[0] else 1
+            self.memo[key] = _clip_stream(
+                hfunc(self.copulas[edge], *self.pair(edge), margin=margin)
+            )
+        return self.memo[key]
+
+    def pair(self, edge):
+        """F(x | D) and F(y | D) for the edge's conditioned pair (x, y) given D."""
+        x, y = edge.conditioned
+        cond = frozenset(edge.conditioning)
+        return self(x, cond), self(y, cond)
+
+
 #: level of the per-edge Kendall tau independence pre-test
 INDEP_TEST_LEVEL = 0.01
 
@@ -310,134 +354,57 @@ def _fit_edge(u_x, u_y, candidates, indep_level):
 
 
 def _run_vine(u, candidates, structure=None, indep_level=INDEP_TEST_LEVEL):
-    """Shared engine: select (structure=None) or follow a given structure."""
+    """Shared engine: select (structure=None) or follow a given structure.
+
+    Selection takes each tree as the greedy maximum spanning tree under
+    |Kendall tau| on the node pairs that the proximity condition allows;
+    weight ties break lexicographically by edge.
+    """
     n = u.shape[1]
-    streams = {(v, frozenset()): u[:, v] for v in range(n)}
-    trees = []
-    pair_copulas = {}
+    stream = _Streams({(v, frozenset()): u[:, v] for v in range(n)}, {})
     fit_meta = {}
-
-    # current level nodes: constraint sets; joined[i] = endpoint indices of
-    # node i in the previous level (None at level 1)
-    node_sets = [frozenset({v}) for v in range(n)]
+    trees = []
+    # constraint sets of the previous tree, and the pairs of them that
+    # share a node of the tree before it
+    nodes = [frozenset({v}) for v in range(n)]
     allowed = list(itertools.combinations(range(n), 2))
-
     for level in range(1, n):
         if structure is None:
-            candidates_here = []
+            weighted = []
             for i, j in allowed:
-                sym = sorted(node_sets[i] ^ node_sets[j])
-                cond = tuple(sorted(node_sets[i] & node_sets[j]))
-                if len(sym) != 2:
-                    continue
-                key = frozenset(cond)
-                weight = _tau_weight(
-                    streams[(sym[0], key)], streams[(sym[1], key)]
-                )
-                edge = VineEdge((sym[0], sym[1]), cond)
-                candidates_here.append((-weight, edge.conditioned, edge.conditioning, i, j, edge))
-            candidates_here.sort(key=lambda t: t[:3])
-            parent = list(range(len(node_sets)))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            chosen = []
-            for _, _, _, i, j, edge in candidates_here:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    chosen.append((edge, i, j))
-                if len(chosen) == len(node_sets) - 1:
-                    break
-            if len(chosen) != len(node_sets) - 1:
+                edge = VineEdge(tuple(nodes[i] ^ nodes[j]), tuple(nodes[i] & nodes[j]))
+                weighted.append((-_tau_weight(*stream.pair(edge)), edge, i, j))
+            weighted.sort(key=lambda t: t[:2])
+            parent = list(range(len(nodes)))
+            chosen = sorted(
+                (edge, i, j) for _, edge, i, j in weighted if _union(parent, i, j)
+            )
+            if len(chosen) != len(nodes) - 1:
                 raise StructureError(f"could not span tree {level}")
+            tree = tuple(edge for edge, _, _ in chosen)
+            nodes = [edge.constraint for edge in tree]
+            allowed = [
+                (p, q)
+                for p, q in itertools.combinations(range(len(chosen)), 2)
+                if set(chosen[p][1:]) & set(chosen[q][1:])
+            ]
         else:
-            lookup = {}
-            for i, j in allowed:
-                sym = sorted(node_sets[i] ^ node_sets[j])
-                cond = tuple(sorted(node_sets[i] & node_sets[j]))
-                if len(sym) == 2:
-                    lookup[(tuple(sym), cond)] = (i, j)
-            chosen = []
-            for edge in structure.trees[level - 1]:
-                key = (edge.conditioned, edge.conditioning)
-                if key not in lookup:
-                    raise StructureError(
-                        f"edge {edge.label()} is not reachable at tree {level}"
-                    )
-                chosen.append((edge, *lookup[key]))
-
-        chosen.sort(key=lambda t: (t[0].conditioned, t[0].conditioning))
-        tree_edges = []
-        for edge, i, j in chosen:
-            x, y = edge.conditioned
-            key = frozenset(edge.conditioning)
-            u_x, u_y = streams[(x, key)], streams[(y, key)]
-            cop, meta = _fit_edge(u_x, u_y, candidates, indep_level)
-            pair_copulas[edge] = cop
+            tree = structure.trees[level - 1]
+        for edge in tree:
+            cop, meta = _fit_edge(*stream.pair(edge), candidates, indep_level)
+            stream.add(edge, cop)
             fit_meta[edge] = meta
-            streams[(x, key | {y})] = _clip_stream(hfunc(cop, u_x, u_y, margin=2))
-            streams[(y, key | {x})] = _clip_stream(hfunc(cop, u_x, u_y, margin=1))
-            tree_edges.append(edge)
-        trees.append(tuple(tree_edges))
-
-        node_sets = [edge.constraint for edge, _, _ in chosen]
-        endpoint = [(i, j) for _, i, j in chosen]
-        allowed = [
-            (p, q)
-            for p, q in itertools.combinations(range(len(node_sets)), 2)
-            if set(endpoint[p]) & set(endpoint[q])
-        ]
+        trees.append(tree)
 
     built = VineStructure(n_vars=n, trees=tuple(trees))
     loglik = float(sum(fit_meta[e]["loglik"] for e in built.all_edges()))
     return VineModel(
         structure=built,
-        pair_copulas=pair_copulas,
+        pair_copulas=stream.copulas,
         fit_meta=fit_meta,
         n_obs=u.shape[0],
         loglik=loglik,
     )
-
-
-def exhaustive_tree1(pseudo_obs):
-    """Best first tree by brute force over all spanning trees.
-
-    Validation helper for the greedy choice: enumerates every spanning
-    tree on the variables (3 for n=3, 16 for n=4) and returns the edge
-    set with maximal total |Kendall tau|, ties broken lexicographically.
-    """
-    u = _check_columns(pseudo_obs, min_rows=10)
-    n = u.shape[1]
-    pairs = list(itertools.combinations(range(n), 2))
-    weights = {p: _tau_weight(u[:, p[0]], u[:, p[1]]) for p in pairs}
-    best = None
-    for combo in itertools.combinations(pairs, n - 1):
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        acyclic = True
-        for a, b in combo:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        key = (-sum(weights[p] for p in combo), tuple(sorted(combo)))
-        if best is None or key < best[0]:
-            best = (key, combo)
-    return tuple(VineEdge(p) for p in sorted(best[1]))
 
 
 def select_structure(pseudo_obs, indep_test=INDEP_TEST_LEVEL):
@@ -446,10 +413,7 @@ def select_structure(pseudo_obs, indep_test=INDEP_TEST_LEVEL):
     Deterministic: AIC fits along the way use the default candidate set,
     and weight ties break lexicographically by edge label.
     """
-    u = _check_columns(pseudo_obs, min_rows=100)
-    if u.shape[1] not in (3, 4):
-        raise DomainError(f"need 3 or 4 variables, got {u.shape[1]}")
-    return _run_vine(u, DEFAULT_CANDIDATES, structure=None, indep_level=indep_test).structure
+    return fit_auto(pseudo_obs, indep_test=indep_test).structure
 
 
 def fit(pseudo_obs, structure, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LEVEL):
@@ -476,153 +440,55 @@ def loglik(model, pseudo_obs):
     n = model.structure.n_vars
     if u.shape[1] != n:
         raise DomainError("column count does not match the model")
-    streams = {(v, frozenset()): u[:, v] for v in range(n)}
+    stream = _Streams({(v, frozenset()): u[:, v] for v in range(n)}, model.pair_copulas)
     total = 0.0
-    for tree in model.structure.trees:
-        for edge in tree:
-            x, y = edge.conditioned
-            key = frozenset(edge.conditioning)
-            u_x, u_y = streams[(x, key)], streams[(y, key)]
-            cop = model.pair_copulas[edge]
-            total += float(np.sum(bicop.log_pdf(cop, u_x, u_y)))
-            streams[(x, key | {y})] = _clip_stream(hfunc(cop, u_x, u_y, margin=2))
-            streams[(y, key | {x})] = _clip_stream(hfunc(cop, u_x, u_y, margin=1))
+    for edge in model.structure.all_edges():
+        total += float(np.sum(bicop.log_pdf(model.pair_copulas[edge], *stream.pair(edge))))
     return total
 
 
-def _edge_index(structure):
-    index = {}
-    for edge in structure.all_edges():
-        index[(edge.conditioned, edge.conditioning)] = edge
-    return index
+def _sampling_chain(edges, var, sampled):
+    """Edges that invert F(var | sampled) down to F(var), deepest first.
 
-
-def _find_edge(index, var, other, cond_set):
-    pair = (var, other) if var < other else (other, var)
-    return index.get((pair, tuple(sorted(cond_set))))
-
-
-def _computable(index, var, cond_set, known, memo):
-    """Whether F(var | cond_set) can be reached through vine edges."""
-    key = (var, frozenset(cond_set))
-    if key in memo:
-        return memo[key]
-    if not cond_set:
-        result = var in known
-    else:
-        result = False
-        if var in known:
-            for b in cond_set:
-                rest = cond_set - {b}
-                edge = _find_edge(index, var, b, rest)
-                if (
-                    edge is not None
-                    and _computable(index, var, rest, known, memo)
-                    and _computable(index, b, rest, known, memo)
-                ):
-                    result = True
-                    break
-    memo[key] = result
-    return result
-
-
-def _build_chain(index, var, target, known, memo):
-    """Edges adding one conditioning variable at a time, up to target."""
-    if not target:
-        return []
-    for b in sorted(target):
-        rest = target - {b}
-        edge = _find_edge(index, var, b, rest)
-        if edge is None or not _computable(index, b, rest, known, memo):
-            continue
-        sub = _build_chain(index, var, rest, known, memo)
-        if sub is not None:
-            return sub + [(edge, b, rest)]
-    return None
-
-
-def _sampling_order(structure):
-    """First variable ordering admitting a full inverse-Rosenblatt chain."""
-    index = _edge_index(structure)
-    n = structure.n_vars
-    for order in itertools.permutations(range(n)):
-        ok = True
-        for j in range(1, n):
-            known = set(order[:j])
-            memo = {}
-            if _build_chain(index, order[j], frozenset(known), known, memo) is None:
-                ok = False
-                break
-        if ok:
-            return order
-    raise StructureError("no admissible sampling order; structure is invalid")
-
-
-def _cond_value(model, index, var, cond_set, values, memo):
-    """F(var | cond_set) evaluated at the sampled points, memoized."""
-    key = (var, frozenset(cond_set))
-    if key in memo:
-        return memo[key]
-    if not cond_set:
-        if var not in values:
-            raise StructureError(f"variable {var} has not been sampled yet")
-        result = values[var]
-    else:
-        result = None
-        for b in sorted(cond_set):
-            rest = cond_set - {b}
-            edge = _find_edge(index, var, b, rest)
-            if edge is None:
-                continue
-            try:
-                f_var = _cond_value(model, index, var, rest, values, memo)
-                f_b = _cond_value(model, index, b, rest, values, memo)
-            except StructureError:
-                continue
-            cop = model.pair_copulas[edge]
-            margin = 2 if edge.conditioned[0] == var else 1
-            result = _clip_stream(hfunc(cop, f_var, f_b, margin=margin) if margin == 2
-                                  else hfunc(cop, f_b, f_var, margin=1))
-            break
-        if result is None:
-            raise StructureError(
-                f"cannot compute conditional distribution of {var} given {sorted(cond_set)}"
-            )
-    memo[key] = result
-    return result
+    Step by step, cond | {var} must name an edge with ``var`` in its
+    conditioned pair, else the result is None.
+    """
+    chain = []
+    cond = sampled
+    while cond:
+        edge = edges.get(cond | {var})
+        if edge is None or var not in edge.conditioned:
+            return None
+        chain.append(edge)
+        cond = frozenset(edge.conditioning)
+    return chain
 
 
 def _simulate_from_uniforms(model, w):
-    structure = model.structure
-    index = _edge_index(structure)
-    order = _sampling_order(structure)
-    n = structure.n_vars
-    values = {}
-    memo = {}
-    for j, var in enumerate(order):
-        if j == 0:
-            values[var] = _clip_stream(w[:, 0])
-            memo[(var, frozenset())] = values[var]
-            continue
-        known = set(order[:j])
-        chain = _build_chain(index, var, frozenset(known), known, {})
-        if chain is None:
-            raise StructureError("sampling chain vanished mid-run")
+    n = model.structure.n_vars
+    stream = _Streams({}, model.pair_copulas)
+    sampled = frozenset()
+    for j in range(n):
+        for var in range(n):
+            if var not in sampled:
+                chain = _sampling_chain(stream.edges, var, sampled)
+                if chain is not None:
+                    break
+        else:
+            raise StructureError("no admissible sampling order; structure is invalid")
         t = _clip_stream(w[:, j])
-        memo[(var, frozenset(known))] = t
+        stream.memo[(var, sampled)] = t
         # invert from the deepest conditioning level back to the marginal;
         # each intermediate t is a true conditional value, so memoize it
-        for edge, b, rest in reversed(chain):
-            f_b = _cond_value(model, index, b, rest, values, memo)
-            cop = model.pair_copulas[edge]
-            if edge.conditioned[0] == var:
-                t = hinv(cop, t, f_b, margin=2)
-            else:
-                t = hinv(cop, t, f_b, margin=1)
-            t = _clip_stream(t)
-            memo[(var, frozenset(rest))] = t
-        values[var] = t
-    return np.column_stack([values[v] for v in range(n)])
+        for edge in chain:
+            x, y = edge.conditioned
+            cond = frozenset(edge.conditioning)
+            f_other = stream(y if x == var else x, cond)
+            margin = 2 if x == var else 1
+            t = _clip_stream(hinv(model.pair_copulas[edge], t, f_other, margin=margin))
+            stream.memo[(var, cond)] = t
+        sampled = sampled | {var}
+    return np.column_stack([stream.memo[(v, frozenset())] for v in range(n)])
 
 
 def simulate(model, n, seed):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -51,6 +52,100 @@ def embedded_pair_model(pair_copula):
 
 
 RHO_3D = [[1.0, 0.6, 0.4], [0.6, 1.0, 0.3], [0.4, 0.3, 1.0]]
+RHO_4D = [
+    [1.0, 0.6, 0.4, 0.3],
+    [0.6, 1.0, 0.5, 0.35],
+    [0.4, 0.5, 1.0, 0.45],
+    [0.3, 0.35, 0.45, 1.0],
+]
+
+
+def spanning_trees(n_nodes, pairs):
+    """Every choice of n_nodes - 1 of ``pairs`` that forms a spanning tree."""
+    for combo in itertools.combinations(pairs, n_nodes - 1):
+        parent = list(range(n_nodes))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        acyclic = True
+        for a, b in combo:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                acyclic = False
+                break
+            parent[ra] = rb
+        if acyclic:
+            yield combo
+
+
+def exhaustive_tree1(u):
+    """Best first tree by brute force over all spanning trees.
+
+    Oracle for the greedy choice: enumerates every spanning tree on the
+    variables (3 for n=3, 16 for n=4) and returns the edge set with
+    maximal total |Kendall tau|, ties broken lexicographically.
+    """
+    n = u.shape[1]
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = {p: abs(stats.kendalltau(u[:, p[0]], u[:, p[1]]).statistic) for p in pairs}
+    best = min(
+        spanning_trees(n, pairs),
+        key=lambda combo: (-sum(weights[p] for p in combo), tuple(sorted(combo))),
+    )
+    return tuple(VineEdge(p) for p in sorted(best))
+
+
+def labelled_rvines(n):
+    """Tree sequences of every labelled R-vine on n variables.
+
+    Each tree is a spanning tree on the previous tree's edges, joining
+    only edges that share a node (the proximity condition).
+    """
+
+    def extend(nodes, pairs, trees):
+        if len(nodes) == 1:
+            yield tuple(trees)
+            return
+        for combo in spanning_trees(len(nodes), pairs):
+            tree = tuple(
+                VineEdge(tuple(nodes[i] ^ nodes[j]), tuple(nodes[i] & nodes[j]))
+                for i, j in combo
+            )
+            adjacent = [
+                (p, q)
+                for p, q in itertools.combinations(range(len(combo)), 2)
+                if set(combo[p]) & set(combo[q])
+            ]
+            yield from extend([e.constraint for e in tree], adjacent, trees + [tree])
+
+    yield from extend(
+        [frozenset({v}) for v in range(n)], list(itertools.combinations(range(n), 2)), []
+    )
+
+
+#: asymmetric and rotated pair copulas, assigned to edges in turn
+ROTATED_COPULAS = (
+    BivariateCopula("clayton", 90, (2.0,)),
+    BivariateCopula("gumbel", 180, (1.8,)),
+    BivariateCopula("gumbel", 270, (1.5,)),
+    BivariateCopula("studentt", 0, (-0.5, 5.0)),
+    BivariateCopula("clayton", 0, (1.2,)),
+    BivariateCopula("frank", 0, (-4.0,)),
+)
+
+
+def assert_samples_tree1_taus(model, seed):
+    sim = vine.simulate(model, 20_000, seed)
+    assert sim.shape == (20_000, model.structure.n_vars)
+    assert sim.min() > 0.0 and sim.max() < 1.0
+    for edge in model.structure.trees[0]:
+        a, b = edge.conditioned
+        tau = stats.kendalltau(sim[:, a], sim[:, b]).statistic
+        assert abs(tau - bicop.tau_of(model.pair_copulas[edge])) < 0.02
 
 
 class TestEdgeAndStructure:
@@ -124,7 +219,7 @@ class TestSelectStructure:
         u = gaussian_sample(corr, 1500, seed=21)
         structure = vine.select_structure(u)
         assert structure.trees[0] == (VineEdge((0, 1)), VineEdge((0, 2)))
-        assert structure.trees[0] == vine.exhaustive_tree1(u)
+        assert structure.trees[0] == exhaustive_tree1(u)
 
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_matches_exhaustive_mst_four_vars(self, seed):
@@ -135,7 +230,7 @@ class TestSelectStructure:
         corr = corr / np.outer(d, d)
         u = gaussian_sample(corr, 800, seed=seed + 1)
         structure = vine.select_structure(u)
-        assert structure.trees[0] == vine.exhaustive_tree1(u)
+        assert structure.trees[0] == exhaustive_tree1(u)
 
     def test_exact_tie_breaks_lexicographically(self):
         base = np.linspace(0.01, 0.99, 400)
@@ -249,8 +344,9 @@ class TestFit:
             hits += fams.get((0, 1)) == "clayton" and fams.get((1, 2)) == "gumbel"
         assert hits >= 18
 
-    def test_loglik_additivity(self):
-        u = gaussian_sample(RHO_3D, 1500, seed=55)
+    @pytest.mark.parametrize("corr", [RHO_3D, RHO_4D], ids=["3d", "4d"])
+    def test_loglik_additivity(self, corr):
+        u = gaussian_sample(corr, 1500, seed=55)
         model = vine.fit_auto(u)
         edge_sum = sum(
             model.fit_meta[e]["loglik"] for e in model.structure.all_edges()
@@ -314,6 +410,44 @@ class TestSimulate:
                 tau_data = stats.kendalltau(u[:, i], u[:, j]).statistic
                 tau_sim = stats.kendalltau(sim[:, i], sim[:, j]).statistic
                 assert abs(tau_data - tau_sim) < 0.03
+
+    def test_labelled_rvine_counts(self):
+        assert [len(list(labelled_rvines(n))) for n in (3, 4, 5)] == [3, 24, 480]
+
+    @pytest.mark.parametrize(
+        "n_vars, index", [(3, k) for k in range(3)] + [(4, k) for k in range(24)]
+    )
+    def test_every_small_rvine_with_rotated_copulas(self, n_vars, index):
+        trees = list(labelled_rvines(n_vars))[index]
+        edges = [e for tree in trees for e in tree]
+        model = manual_model(
+            trees,
+            {
+                e: ROTATED_COPULAS[(index + k) % len(ROTATED_COPULAS)]
+                for k, e in enumerate(edges)
+            },
+        )
+        assert_samples_tree1_taus(model, seed=100 + index)
+
+    def test_five_var_dvine_from_json(self):
+        copulas = itertools.cycle(ROTATED_COPULAS)
+        trees = [
+            [
+                {
+                    "conditioned": [i, i + level],
+                    "conditioning": list(range(i + 1, i + level)),
+                    "copula": next(copulas).to_json_dict(),
+                    "loglik": 0.0,
+                    "aic": 0.0,
+                }
+                for i in range(5 - level)
+            ]
+            for level in range(1, 5)
+        ]
+        model = VineModel.from_json_dict(
+            {"n_vars": 5, "n_obs": 0, "loglik": 0.0, "trees": trees}
+        )
+        assert_samples_tree1_taus(model, seed=5)
 
     def test_bad_n(self):
         model = embedded_pair_model(BivariateCopula("independence"))
