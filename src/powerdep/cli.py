@@ -59,7 +59,8 @@ _SYNTH_PARAMS = {
 _SYNTH_SEASON_SCALE = {"price": 0.4, "demand": 0.5, "wind": 0.3, "solar": 0.6}
 _SYNTH_WEEKEND = {"price": -0.2, "demand": -0.4, "wind": 0.0, "solar": 0.0}
 
-# child-seed purpose codes local to the generator (the pipeline owns 1-6)
+# child-seed purpose codes local to the generator (the pipeline's rolling
+# study owns 5 and 6; codes 1-4 are retired and never reused)
 _SEED_SYNTH_COPULA = 61
 _SEED_SYNTH_COPULA_LATE = 62
 _SEED_SYNTH_MARGIN = 63
@@ -281,16 +282,6 @@ def _synth_meta(days, seed, flavor, start, hours):
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path, text, force):
-    if os.path.exists(path) and not force:
-        raise ConfigError(
-            "refusing to overwrite existing artifact; pass --force",
-            location=path,
-        )
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
-
-
 def _load_config_file(path):
     if path is None:
         return {}
@@ -385,8 +376,13 @@ def _load_panel(args, cfg):
     return slice_hour(records, int(hour)), log
 
 
-def _emit(artifacts):
-    print(pipeline._json_bytes({"artifacts": artifacts}), end="")
+def _publish(args, cfg, out, artifacts):
+    """Write ``{artifact key: (file name, text)}`` and print the artifact map."""
+    paths = pipeline.write_artifacts(
+        out, dict(artifacts.values()), _force(args, cfg)
+    )
+    keyed = {key: paths[name] for key, (name, _) in artifacts.items()}
+    print(pipeline._json_bytes({"artifacts": keyed}), end="")
     return 0
 
 
@@ -404,18 +400,16 @@ def _cmd_synth(args):
     start = datetime.date.fromisoformat(str(_get(args, cfg, "start", "2015-01-01")))
     hours = _parse_hours_value(_get(args, cfg, "hours", None))
     records = generate_synthetic_records(days, seed, flavor, start, hours)
-    force = _force(args, cfg)
-    csv_path = os.path.join(out, "synthetic.csv")
-    meta_path = os.path.join(out, "synthetic_meta.json")
-    _write_text(csv_path, records_to_csv_text(records), force)
-    _write_text(
-        meta_path,
-        pipeline._json_bytes(
-            _synth_meta(days, seed, flavor, start, hours or tuple(range(24)))
-        ),
-        force,
+    meta = _synth_meta(days, seed, flavor, start, hours or tuple(range(24)))
+    return _publish(
+        args,
+        cfg,
+        out,
+        {
+            "data": ("synthetic.csv", records_to_csv_text(records)),
+            "metadata": ("synthetic_meta.json", pipeline._json_bytes(meta)),
+        },
     )
-    return _emit({"data": csv_path, "metadata": meta_path})
 
 
 def _cmd_ingest(args):
@@ -425,21 +419,18 @@ def _cmd_ingest(args):
     hours = _parse_hours_value(_get(args, cfg, "hours", None))
     if hours is None:
         hours = tuple(sorted({rec.hour for rec in records}))
-    force = _force(args, cfg)
-    artifacts = {}
-    for hour in hours:
-        panel = slice_hour(records, hour)
-        path = os.path.join(out, f"panel_{hour:02d}.json")
-        _write_text(path, pipeline._json_bytes(panel.to_json_dict()), force)
-        artifacts[f"panel_{hour:02d}"] = path
-    meta_path = os.path.join(out, "ingest_meta.json")
-    _write_text(
-        meta_path,
+    artifacts = {
+        f"panel_{hour:02d}": (
+            f"panel_{hour:02d}.json",
+            pipeline._json_bytes(slice_hour(records, hour).to_json_dict()),
+        )
+        for hour in hours
+    }
+    artifacts["metadata"] = (
+        "ingest_meta.json",
         pipeline._json_bytes({"hours": list(hours), "clock_changes": log}),
-        force,
     )
-    artifacts["metadata"] = meta_path
-    return _emit(artifacts)
+    return _publish(args, cfg, out, artifacts)
 
 
 def _cmd_fit_marginals(args):
@@ -451,13 +442,9 @@ def _cmd_fit_marginals(args):
     for name in panel.variable_names:
         spec = MarginalSpec.for_variable(name)
         fits[name] = fit_ar_garch(panel.column(name), dummies, spec).to_json_dict()
-    path = os.path.join(out, f"marginals_hour_{panel.hour:02d}.json")
-    _write_text(
-        path,
-        pipeline._json_bytes({"hour": panel.hour, "marginals": fits}),
-        _force(args, cfg),
-    )
-    return _emit({"marginals": path})
+    report = pipeline._json_bytes({"hour": panel.hour, "marginals": fits})
+    name = f"marginals_hour_{panel.hour:02d}.json"
+    return _publish(args, cfg, out, {"marginals": (name, report)})
 
 
 def _cmd_fit_vine(args):
@@ -469,20 +456,14 @@ def _cmd_fit_vine(args):
     model = vine.fit_auto(
         pseudo, candidates=config.candidates, indep_test=config.indep_test
     )
-    path = os.path.join(out, f"vine_hour_{panel.hour:02d}.json")
-    _write_text(
-        path,
-        pipeline._json_bytes(
-            {
-                "hour": panel.hour,
-                "variables": list(panel.variable_names),
-                "marginals": {k: v.to_json_dict() for k, v in fits.items()},
-                "vine": model.to_json_dict(),
-            }
-        ),
-        _force(args, cfg),
-    )
-    return _emit({"vine": path})
+    report = {
+        "hour": panel.hour,
+        "variables": list(panel.variable_names),
+        "marginals": {k: v.to_json_dict() for k, v in fits.items()},
+        "vine": model.to_json_dict(),
+    }
+    name = f"vine_hour_{panel.hour:02d}.json"
+    return _publish(args, cfg, out, {"vine": (name, pipeline._json_bytes(report))})
 
 
 def _run_hour_analysis(args, scenario_override):
@@ -505,21 +486,24 @@ def _run_hour_analysis(args, scenario_override):
 def _cmd_tail(args):
     patterns = tuple(args.pattern.split(",")) if args.pattern else None
     cfg, out, config, result = _run_hour_analysis(args, patterns)
-    force = _force(args, cfg)
     rows = pipeline.series_rows(
         GlobalRunResult(results=(result,), failures=()), ()
     )
-    json_path = os.path.join(out, f"tail_hour_{result.hour:02d}.json")
-    csv_path = os.path.join(out, f"tail_hour_{result.hour:02d}.csv")
-    _write_text(json_path, pipeline._json_bytes(result.to_json_dict()), force)
-    _write_text(csv_path, pipeline.render_csv(rows), force)
-    return _emit({"tail_json": json_path, "tail_csv": csv_path})
+    stem = f"tail_hour_{result.hour:02d}"
+    return _publish(
+        args,
+        cfg,
+        out,
+        {
+            "tail_json": (f"{stem}.json", pipeline._json_bytes(result.to_json_dict())),
+            "tail_csv": (f"{stem}.csv", pipeline.render_csv(rows)),
+        },
+    )
 
 
 def _cmd_scenarios(args):
     patterns = tuple(args.pattern.split(",")) if args.pattern else None
     cfg, out, config, result = _run_hour_analysis(args, patterns)
-    force = _force(args, cfg)
     rows = [
         row
         for row in pipeline.series_rows(
@@ -527,9 +511,10 @@ def _cmd_scenarios(args):
         )
         if row["measure"] == "scenario"
     ]
-    csv_path = os.path.join(out, f"scenarios_hour_{result.hour:02d}.csv")
-    _write_text(csv_path, pipeline.render_csv(rows), force)
-    return _emit({"scenarios_csv": csv_path})
+    name = f"scenarios_hour_{result.hour:02d}.csv"
+    return _publish(
+        args, cfg, out, {"scenarios_csv": (name, pipeline.render_csv(rows))}
+    )
 
 
 def _cmd_roll(args):
@@ -547,15 +532,17 @@ def _cmd_roll(args):
     )
     panels = {h: slice_hour(records, h) for h in config.hours}
     results = pipeline.run_rolling(panels, config)
-    force = _force(args, cfg)
     rows = pipeline.series_rows(GlobalRunResult(results=(), failures=()), results)
-    json_path = os.path.join(out, "rolling.json")
-    csv_path = os.path.join(out, "rolling.csv")
-    _write_text(
-        json_path, pipeline._json_bytes([r.to_json_dict() for r in results]), force
+    report = pipeline._json_bytes([r.to_json_dict() for r in results])
+    return _publish(
+        args,
+        cfg,
+        out,
+        {
+            "rolling_json": ("rolling.json", report),
+            "rolling_csv": ("rolling.csv", pipeline.render_csv(rows)),
+        },
     )
-    _write_text(csv_path, pipeline.render_csv(rows), force)
-    return _emit({"rolling_json": json_path, "rolling_csv": csv_path})
 
 
 def _cmd_simulate(args):
@@ -582,9 +569,7 @@ def _cmd_simulate(args):
     writer.writerow([f"u{j}" for j in range(u.shape[1])])
     for row in u:
         writer.writerow([repr(float(x)) for x in row])
-    path = os.path.join(out, "simulated_u.csv")
-    _write_text(path, buf.getvalue(), _force(args, cfg))
-    return _emit({"simulated": path})
+    return _publish(args, cfg, out, {"simulated": ("simulated_u.csv", buf.getvalue())})
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ AR-GARCH fits, pseudo-observations, vine copula, dependence measures):
 
 Results serialize through :func:`write_report_bundle` into one JSON per
 hour, a long-format CSV of every series, and a run-metadata JSON.  All
-randomness flows from the config seed through per-purpose child seeds,
-so an identical (data, config) pair reproduces the bundle byte for
-byte.
+randomness flows from the config seed through one child seed per hour
+and one per rolling window: each draws a single vine sample, and every
+measure reads the prefix of its configured Monte Carlo size.  So an
+identical (data, config) pair reproduces the bundle byte for byte.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ from .errors import (
 from .marginals import MarginalSpec, fit_ar_garch
 from .taildep import ScenarioPattern
 
-# purpose codes for child-seed derivation; fixed forever for reproducibility
-_SEED_SPEARMAN = 1
-_SEED_TDC = 2
-_SEED_LAMBDA = 3
-_SEED_SCENARIO = 4
+# purpose codes of the rolling study's child seeds; fixed forever for
+# reproducibility (codes 1-4 are retired and never reused)
 _SEED_ROLL = 5
 _SEED_REFERENCE = 6
 
@@ -163,6 +161,24 @@ class AnalysisConfig:
             self, "alpha_grid", tuple(float(a) for a in self.alpha_grid)
         )
         object.__setattr__(self, "tdc_grid", tuple(float(t) for t in self.tdc_grid))
+        for name in ("alpha_grid", "tdc_grid"):
+            grid = getattr(self, name)
+            if not grid or any(not 0.0 < a <= 0.1 for a in grid):
+                raise ConfigError(f"{name} must be non-empty and lie in (0, 0.1]")
+        if any(b >= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
+            raise ConfigError("alpha_grid must be strictly decreasing")
+        # every hour would fail these after its full fit: too few expected
+        # tail rows at the loosest level a measure can use
+        for label, expected in (
+            ("alpha * n_mc_scenario", self.alpha * self.n_mc_scenario),
+            ("max(alpha_grid) * n_mc_lambda", self.alpha_grid[0] * self.n_mc_lambda),
+            ("min(tdc_grid) * n_mc_tdc", min(self.tdc_grid) * self.n_mc_tdc),
+        ):
+            if expected < taildep.RELIABILITY_FLOOR:
+                raise ConfigError(
+                    f"{label} = {expected:g} leaves fewer than "
+                    f"{taildep.RELIABILITY_FLOOR} expected tail observations"
+                )
         object.__setattr__(
             self,
             "candidates",
@@ -371,50 +387,42 @@ def analyze_hour(panel, config):
         pseudo, candidates=config.candidates, indep_test=config.indep_test
     )
     names = panel.variable_names
-    n = len(names)
     hour = panel.hour
     warnings = []
     for edge, meta in model.fit_meta.items():
         for note in meta.get("warnings", ()):
             warnings.append(f"{edge.label()}: {note}")
 
+    n_draw = max(
+        config.n_mc_spearman, config.n_mc_tdc, config.n_mc_lambda, config.n_mc_scenario
+    )
+    sample = vine.simulate(model, n_draw, seed=child_seed(config.seed, hour))
+    rho, rho_se = vine.induced_spearman(sample, config.n_mc_spearman)
     spearman = {}
-    matrix = [[1.0] * n for _ in range(n)]
     pairwise_tdc = {}
     for i, j in _variable_pairs(names):
         label = _pair_label(names, i, j)
-        est = vine.induced_spearman(
-            model,
-            (i, j),
-            n_mc=config.n_mc_spearman,
-            seed=child_seed(config.seed, hour, _SEED_SPEARMAN, i, j),
-        )
-        spearman[label] = est
-        matrix[i][j] = matrix[j][i] = est["estimate"]
+        spearman[label] = {
+            "estimate": float(rho[i, j]),
+            "mc_stderr": float(rho_se[i, j]),
+            "n_mc": config.n_mc_spearman,
+        }
         pairwise_tdc[label] = vine.induced_pair_tdc(
-            model,
-            (i, j),
-            alpha_grid=config.tdc_grid,
-            n_mc=config.n_mc_tdc,
-            seed=child_seed(config.seed, hour, _SEED_TDC, i, j),
+            sample, (i, j), config.tdc_grid, n_mc=config.n_mc_tdc
         )
 
-    lam_sample = vine.simulate(
-        model, config.n_mc_lambda, seed=child_seed(config.seed, hour, _SEED_LAMBDA)
+    # keep only the rows the O(m^2) counting reads, so the long draw is
+    # freed before it
+    sample = sample[: max(config.n_mc_lambda, config.n_mc_scenario)].copy()
+    lam_sample = sample[: config.n_mc_lambda]
+    lambda_k = taildep.lambda_kendall(
+        np.column_stack([lam_sample[:, 1:], lam_sample[:, 0]]), config.alpha_grid
     )
-    collapsed = np.column_stack([lam_sample[:, 1:], lam_sample[:, 0]])
-    lambda_k = {
-        side: taildep.lambda_kendall(collapsed, side, config.alpha_grid)
-        for side in ("lower", "upper")
-    }
 
     scenario_table = []
-    for k, pattern in enumerate(_scenario_patterns_for(config, names)):
+    for pattern in _scenario_patterns_for(config, names):
         result = taildep.scenario_tail_coefficient(
-            model,
-            pattern,
-            n_mc=config.n_mc_scenario,
-            seed=child_seed(config.seed, hour, _SEED_SCENARIO, k),
+            sample, pattern, n_mc=config.n_mc_scenario
         )
         scenario_table.append(
             {
@@ -430,7 +438,7 @@ def analyze_hour(panel, config):
         marginals=fits,
         vine_model=model,
         spearman=spearman,
-        spearman_matrix=tuple(tuple(row) for row in matrix),
+        spearman_matrix=tuple(tuple(row) for row in rho.tolist()),
         pairwise_tdc=pairwise_tdc,
         lambda_k=lambda_k,
         scenario_table=tuple(scenario_table),
@@ -485,17 +493,14 @@ def _model_spearman_all_pairs(panel, config, seed_keys):
     model = vine.fit_auto(
         pseudo, candidates=config.candidates, indep_test=config.indep_test
     )
+    sample = vine.simulate(
+        model, config.n_mc_rolling, seed=child_seed(config.seed, *seed_keys)
+    )
+    rho, _ = vine.induced_spearman(sample, config.n_mc_rolling)
     names = panel.variable_names
-    out = {}
-    for i, j in _variable_pairs(names):
-        est = vine.induced_spearman(
-            model,
-            (i, j),
-            n_mc=config.n_mc_rolling,
-            seed=child_seed(config.seed, *seed_keys, i, j),
-        )
-        out[_pair_label(names, i, j)] = est
-    return out
+    return {
+        _pair_label(names, i, j): float(rho[i, j]) for i, j in _variable_pairs(names)
+    }
 
 
 def rolling_hour(panel, config):
@@ -534,14 +539,11 @@ def rolling_hour(panel, config):
                 series[pair].append(None)
             continue
         for pair in pairs:
-            series[pair].append(estimates[pair]["estimate"])
+            series[pair].append(estimates[pair])
 
-    reference = {
-        pair: est["estimate"]
-        for pair, est in _model_spearman_all_pairs(
-            panel, config, (panel.hour, _SEED_REFERENCE)
-        ).items()
-    }
+    reference = _model_spearman_all_pairs(
+        panel, config, (panel.hour, _SEED_REFERENCE)
+    )
     return RollingResult(
         hour=panel.hour,
         variable_names=names,
@@ -703,14 +705,34 @@ def _json_bytes(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def write_artifacts(out_dir, payloads, force=False):
+    """Write each ``{file name: text}`` payload into ``out_dir``.
+
+    Refuses to overwrite an existing file unless ``force`` is set, and
+    checks every target before writing the first, so a refusal leaves no
+    new file behind.  Returns the mapping of file names to paths.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name: os.path.join(out_dir, name) for name in sorted(payloads)}
+    for path in paths.values():
+        if os.path.exists(path) and not force:
+            raise ConfigError(
+                f"refusing to overwrite {path}; pass force to replace it",
+                location=path,
+            )
+    for name, path in paths.items():
+        with open(path, "w", newline="") as handle:
+            handle.write(payloads[name])
+    return paths
+
+
 def write_report_bundle(out_dir, config, global_result, rolling_results=(), force=False):
     """Write the per-hour JSONs, the long CSV, and the run metadata.
 
     Returns the mapping of artifact names to paths.  Refuses to
-    overwrite existing artifacts unless ``force`` is set.
+    overwrite existing artifacts unless ``force`` is set; see
+    :func:`write_artifacts`.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = {}
     payloads = {}
     for res in global_result.results:
         payloads[f"hour_{res.hour:02d}.json"] = _json_bytes(res.to_json_dict())
@@ -734,13 +756,4 @@ def write_report_bundle(out_dir, config, global_result, rolling_results=(), forc
             },
         }
     )
-    for name in sorted(payloads):
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path) and not force:
-            raise ConfigError(
-                f"refusing to overwrite {path}; pass force to replace it"
-            )
-        with open(path, "w", newline="") as handle:
-            handle.write(payloads[name])
-        artifacts[name] = path
-    return artifacts
+    return write_artifacts(out_dir, payloads, force)

@@ -10,7 +10,7 @@ target variable Y reacts to joint extremes of several drivers:
   tail probabilities of Y given that X falls in a lower/upper Kendall
   region of mass alpha.
 * ``lambda_kendall`` traces those measures along a grid of shrinking
-  alphas and extrapolates to the limit coefficient.
+  alphas and extrapolates to the limit coefficient, both sides at once.
 * ``scenario_tail_coefficient`` evaluates mixed high/low scenarios
   (e.g. high demand with low wind) by reflecting coordinates of a
   vine-simulated sample before applying the upper measure.
@@ -35,12 +35,13 @@ counting conventions are spelled out below because tests rely on exact
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .counting import (
     cross_weak_counts,
+    has_column_ties,
     strict_dominance_counts,
     weak_dominance_counts,
 )
@@ -285,6 +286,14 @@ class TailMeasureResult:
         }
 
 
+def sample_prefix(sample, n_mc):
+    """The first ``n_mc`` rows of a 2-d sample, e.g. a ``vine.simulate`` draw."""
+    u = np.asarray(sample, dtype=np.float64)
+    if u.ndim != 2 or u.shape[0] < n_mc:
+        raise DomainError(f"sample must be 2-d with at least n_mc = {n_mc} rows")
+    return u[:n_mc]
+
+
 def _split_sample(sample):
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
@@ -314,10 +323,13 @@ class _Collapsed:
         y = np.asarray(y, dtype=np.float64)
         m = x.shape[0]
         self.m = m
+        strict = strict_dominance_counts(x)
         # Kendall collapse (strict) and its order statistics for quantiles.
-        self.sorted_w = np.sort(strict_dominance_counts(x) / m)
-        # Conditioning values: empirical joint CDF (weak, self included).
-        self.v = weak_dominance_counts(x) / m
+        self.sorted_w = np.sort(strict / m)
+        # Conditioning values: empirical joint CDF (weak, self included);
+        # without ties the weak count is the strict count plus the row itself.
+        weak = weak_dominance_counts(x) if has_column_ties(x) else strict + 1
+        self.v = weak / m
         # Target ranks: empirical CDF of Y at the sample points.
         order = np.sort(y)
         self.u_y = np.searchsorted(order, y, side="right") / m
@@ -420,17 +432,17 @@ class LambdaKendallResult:
         }
 
 
-def lambda_kendall(sample, side, alpha_grid=DEFAULT_ALPHA_GRID):
-    """Tail coefficient of Y given joint extremes of X.
+def lambda_kendall(sample, alpha_grid=DEFAULT_ALPHA_GRID):
+    """Lower and upper tail coefficients of Y given joint extremes of X.
 
     Evaluates q^K(alpha, alpha) along a decreasing ``alpha_grid`` in
     (0, 0.1], flags grid points whose conditioning set falls below the
     reliability floor, and extrapolates the reliable portion linearly
     in alpha to 0.  ``point_estimate`` is the measure at the smallest
     reliable alpha; ``extrapolated`` is the least-squares intercept.
+    Both sides share one count of the sample and come back as
+    ``{"lower": LambdaKendallResult, "upper": LambdaKendallResult}``.
     """
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     alphas = tuple(float(a) for a in alpha_grid)
     if not alphas:
         raise DomainError("alpha_grid must be non-empty")
@@ -438,9 +450,11 @@ def lambda_kendall(sample, side, alpha_grid=DEFAULT_ALPHA_GRID):
         raise DomainError("alpha_grid values must lie in (0, 0.1]")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alpha_grid must be strictly decreasing")
+    collapsed = _Collapsed(*_split_sample(sample))
+    return {side: _lambda_side(collapsed, alphas, side) for side in ("lower", "upper")}
 
-    x, y = _split_sample(sample)
-    collapsed = _Collapsed(x, y)
+
+def _lambda_side(collapsed, alphas, side):
     values, stderrs, counts, reliable = [], [], [], []
     for a in alphas:
         try:
@@ -455,7 +469,7 @@ def lambda_kendall(sample, side, alpha_grid=DEFAULT_ALPHA_GRID):
     good = [i for i, ok in enumerate(reliable) if ok]
     if not good:
         raise ResolutionError(
-            "no alpha in the grid leaves a reliable conditioning set; "
+            f"no alpha in the grid leaves a reliable {side} conditioning set; "
             "enlarge the sample or the grid"
         )
     ga = np.array([alphas[i] for i in good])
@@ -539,27 +553,27 @@ class ScenarioPattern:
         )
 
 
-def scenario_tail_coefficient(model, pattern, n_mc=20_000, seed=0):
-    """Tail measure of a vine model under a mixed high/low scenario.
+def scenario_tail_coefficient(sample, pattern, n_mc):
+    """Tail measure of a vine sample under a mixed high/low scenario.
 
-    Simulates ``n_mc`` joint uniforms from ``model``, reflects every
-    Low-direction coordinate (u -> 1 - u, target included), and applies
-    the upper Kendall measure so that the scenario always reads "target
-    extreme in its direction given all conditioners extreme in theirs".
-    Reflection is driven entirely by the pattern's direction labels, so
-    flipping all directions twice reproduces the result exactly.
+    Takes the first ``n_mc`` rows of ``sample`` (joint uniforms drawn
+    by ``vine.simulate``), reflects every Low-direction coordinate
+    (u -> 1 - u, target included), and applies the upper Kendall measure
+    so that the scenario always reads "target extreme in its direction
+    given all conditioners extreme in theirs".  Reflection is driven
+    entirely by the pattern's direction labels, so flipping all
+    directions twice reproduces the result exactly.
     """
-    from . import vine as vine_mod
-
-    d = model.structure.n_vars
+    n_mc = int(n_mc)
+    if n_mc < 1000:
+        raise DomainError("n_mc must be at least 1000 for tail estimation")
+    u = sample_prefix(sample, n_mc)
+    d = u.shape[1]
     indices = [v for v, _ in pattern.conditioning] + [pattern.target]
     if any(not (0 <= v < d) for v in indices):
         raise DomainError(
-            f"pattern references variables outside the model's 0..{d - 1} range"
+            f"pattern references variables outside the sample's 0..{d - 1} range"
         )
-    if n_mc < 1000:
-        raise DomainError("n_mc must be at least 1000 for tail estimation")
-    u = vine_mod.simulate(model, int(n_mc), seed=seed)
     cols = []
     for var, direction in pattern.conditioning:
         col = u[:, var]
@@ -576,21 +590,10 @@ def scenario_tail_coefficient(model, pattern, n_mc=20_000, seed=0):
             "target": pattern.target,
             "target_direction": pattern.target_direction,
             "conditioning": list(pattern.conditioning),
-            "n_mc": int(n_mc),
-            "seed": int(seed),
+            "n_mc": n_mc,
         }
     )
-    return TailMeasureResult(
-        side=result.side,
-        value=result.value,
-        ratio_vs_independence=result.ratio_vs_independence,
-        alpha=result.alpha,
-        beta=result.beta,
-        mc_stderr=result.mc_stderr,
-        n_conditioning=result.n_conditioning,
-        reliable=result.reliable,
-        metadata=metadata,
-    )
+    return replace(result, metadata=metadata)
 
 
 def tail_concentration(pseudo_pairs, alpha, beta_grid):

@@ -34,6 +34,7 @@ from .errors import (
     ResolutionError,
     StructureError,
 )
+from .taildep import RELIABILITY_FLOOR, sample_prefix
 
 _STREAM_CLIP = 1e-12
 
@@ -500,76 +501,53 @@ def simulate(model, n, seed):
     return _simulate_from_uniforms(model, w)
 
 
-def _check_pair(model, pair):
-    n = model.structure.n_vars
-    a, b = int(pair[0]), int(pair[1])
-    if not (0 <= a < n and 0 <= b < n) or a == b:
-        raise DomainError(f"invalid variable pair {pair!r}")
-    return a, b
+def _rank_corr(block):
+    # Spearman matrix of the columns, exactly symmetric with a unit diagonal
+    rho = np.corrcoef(stats.rankdata(block, axis=0), rowvar=False)
+    upper = np.triu(rho, 1)
+    return upper + upper.T + np.eye(block.shape[1])
 
 
-def induced_spearman(model, pair, n_mc=100_000, seed=0):
-    """Model-implied Spearman correlation of one pair, by simulation.
+def induced_spearman(sample, n_mc):
+    """Model-implied Spearman matrix from the first ``n_mc`` rows of a vine sample.
 
-    Returns a dict with the estimate and a batch-based Monte Carlo
-    standard error.
+    Returns the estimate matrix and its Monte Carlo standard error
+    matrix, the spread of the estimate over 20 equal batches.
     """
-    a, b = _check_pair(model, pair)
     n_mc = int(n_mc)
     if n_mc < 10_000:
         raise DomainError("n_mc must be at least 10000")
-    sample = simulate(model, n_mc, seed)
-    rho = float(stats.spearmanr(sample[:, a], sample[:, b]).statistic)
+    u = sample_prefix(sample, n_mc)
     n_batches = 20
     size = n_mc // n_batches
-    batch_vals = [
-        stats.spearmanr(
-            sample[k * size : (k + 1) * size, a],
-            sample[k * size : (k + 1) * size, b],
-        ).statistic
-        for k in range(n_batches)
-    ]
-    stderr = float(np.std(batch_vals, ddof=1) / np.sqrt(n_batches))
-    return {"estimate": rho, "mc_stderr": stderr, "n_mc": n_mc, "seed": seed}
+    batches = [_rank_corr(u[k * size : (k + 1) * size]) for k in range(n_batches)]
+    stderr = np.std(batches, axis=0, ddof=1) / np.sqrt(n_batches)
+    return _rank_corr(u), stderr
 
 
-def induced_pair_tdc(model, pair, alpha_grid=(0.05, 0.025, 0.01), n_mc=1_000_000, seed=0):
-    """Empirical tail-dependence curves of one pair under the model.
+def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
+    """Empirical tail-dependence curves of one pair of a vine sample.
 
-    For each level t the lower estimate is C(t,t)/t and the upper
-    estimate is the survival analogue (1-2s+C(s,s))/(1-s) at s = 1-t,
-    both from a simulated sample.  A linear extrapolation to t = 0 is
+    Counts on the first ``n_mc`` rows.  For each level t the lower
+    estimate is C(t,t)/t and the upper estimate is the survival analogue
+    (1-2s+C(s,s))/(1-s) at s = 1-t.  A linear extrapolation to t = 0 is
     reported alongside the per-level values.
     """
-    a, b = _check_pair(model, pair)
     grid = sorted(float(t) for t in alpha_grid)
     if not grid or grid[0] <= 0.0 or grid[-1] > 0.1:
         raise DomainError("alpha_grid must lie in (0, 0.1]")
     n_mc = int(n_mc)
-    if n_mc * grid[0] < 20:
+    if n_mc * grid[0] < RELIABILITY_FLOOR:
         raise ResolutionError(
-            f"expected tail count {n_mc * grid[0]:.1f} below 20 at t={grid[0]}; "
-            "increase n_mc or raise the smallest level"
+            f"expected tail count {n_mc * grid[0]:.1f} below {RELIABILITY_FLOOR} "
+            f"at t={grid[0]}; increase n_mc or raise the smallest level"
         )
-    rng = np.random.default_rng(seed)
-    chunk = min(n_mc, 250_000)
-    low_counts = np.zeros(len(grid))
-    up_counts = np.zeros(len(grid))
-    done = 0
-    d = model.structure.n_vars
-    while done < n_mc:
-        m = min(chunk, n_mc - done)
-        u = _simulate_from_uniforms(model, rng.random((m, d)))
-        ua, ub = u[:, a], u[:, b]
-        for k, t in enumerate(grid):
-            low_counts[k] += np.count_nonzero((ua <= t) & (ub <= t))
-            up_counts[k] += np.count_nonzero((ua > 1.0 - t) & (ub > 1.0 - t))
-        done += m
-
+    u = sample_prefix(sample, n_mc)
+    ua, ub = u[:, pair[0]], u[:, pair[1]]
     levels = []
-    for k, t in enumerate(grid):
-        p_low = low_counts[k] / n_mc
-        p_up = up_counts[k] / n_mc
+    for t in grid:
+        p_low = np.count_nonzero((ua <= t) & (ub <= t)) / n_mc
+        p_up = np.count_nonzero((ua > 1.0 - t) & (ub > 1.0 - t)) / n_mc
         levels.append(
             {
                 "t": t,
@@ -579,7 +557,7 @@ def induced_pair_tdc(model, pair, alpha_grid=(0.05, 0.025, 0.01), n_mc=1_000_000
                 "upper_stderr": float(np.sqrt(max(p_up * (1 - p_up), 0.0) / n_mc) / t),
             }
         )
-    result = {"levels": levels, "n_mc": n_mc, "seed": seed}
+    result = {"levels": levels, "n_mc": n_mc}
     ts = np.array([lv["t"] for lv in levels])
     for side in ("lower", "upper"):
         vals = np.array([lv[side] for lv in levels])

@@ -209,10 +209,9 @@ class TestClaytonGenerator:
         model = vine.fit_auto(pseudo)
         u = vine.simulate(model, 200_000, seed=77)
         price_given_demand = np.column_stack([u[:, 1], u[:, 0]])
-        lam = taildep.lambda_kendall(price_given_demand, "lower")
-        assert lam.extrapolated > 0.3
-        lam_upper = taildep.lambda_kendall(price_given_demand, "upper")
-        assert lam_upper.extrapolated < 0.15
+        lam = taildep.lambda_kendall(price_given_demand)
+        assert lam["lower"].extrapolated > 0.3
+        assert lam["upper"].extrapolated < 0.15
 
 
 class TestTailAndScenarios:
@@ -251,6 +250,21 @@ class TestTailAndScenarios:
         rows = read_csv_rows(out["artifacts"]["tail_csv"])
         scenario = [row for row in rows if row["measure"] == "scenario"]
         assert scenario[0]["alpha"] == "0.08"
+
+    def test_tail_collision_on_a_later_file_writes_nothing(
+        self, data_csv, small_config_file, tmp_path, capsys
+    ):
+        (tmp_path / "tail_hour_03.csv").write_text("kept\n")
+        code, _, err = invoke(
+            ["tail", "--data", data_csv, "--hour", "3",
+             "--config", small_config_file, "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err["code"] == "config"
+        assert "force" in err["message"]
+        assert err["location"].endswith("tail_hour_03.csv")
+        assert os.listdir(tmp_path) == ["tail_hour_03.csv"]
 
     def test_scenarios_verb_trivariate_dedup(
         self, data_csv, small_config_file, tmp_path, capsys

@@ -116,6 +116,14 @@ class TestAnalysisConfig:
             {"scenarios": ("HXL",)},
             {"scenarios": ("HLL:Q",)},
             {"scenarios": ("",)},
+            {"alpha": 0.01, "n_mc_scenario": 1000},
+            {"alpha_grid": (0.01,), "n_mc_lambda": 1000},
+            {"tdc_grid": (0.005,), "n_mc_tdc": 2000},
+            {"alpha_grid": ()},
+            {"alpha_grid": (0.2,)},
+            {"tdc_grid": ()},
+            {"tdc_grid": (0.05, 0.0)},
+            {"alpha_grid": (0.01, 0.05)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -388,6 +396,13 @@ class TestReportBundle:
         out, _, rolls = bundle
         with pytest.raises(ConfigError, match="force"):
             pipeline.write_report_bundle(out, small_config(), global_result, rolls)
+
+    def test_collision_on_a_later_file_writes_nothing(self, tmp_path, global_result):
+        (tmp_path / "series.csv").write_text("kept\n")
+        with pytest.raises(ConfigError, match="force"):
+            pipeline.write_report_bundle(tmp_path, small_config(), global_result)
+        assert os.listdir(tmp_path) == ["series.csv"]
+        assert (tmp_path / "series.csv").read_text() == "kept\n"
 
     def test_rewrite_with_force_is_byte_identical(self, bundle, global_result):
         out, paths, rolls = bundle

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from powerdep import bicop, taildep
+from powerdep import bicop, taildep, vine
 from powerdep.bicop import BivariateCopula
-from powerdep.counting import strict_dominance_counts
+from powerdep.counting import has_column_ties, strict_dominance_counts
 from powerdep.errors import DomainError, ResolutionError
 from powerdep.taildep import (
     KendallFunction,
@@ -87,6 +87,12 @@ def manual_model(trees, copulas):
         fit_meta=meta,
         n_obs=0,
         loglik=0.0,
+    )
+
+
+def simulated_scenario(model, pattern, n_mc=20_000, seed=0):
+    return scenario_tail_coefficient(
+        vine.simulate(model, n_mc, seed), pattern, n_mc=n_mc
     )
 
 
@@ -399,14 +405,14 @@ class TestTailMeasures:
 class TestLambdaKendall:
     def test_independence_extrapolates_to_zero(self):
         sample = uniform_sample(40_000, 3, seed=17)
-        res = lambda_kendall(sample, "lower")
+        res = lambda_kendall(sample)["lower"]
         for a, v, se in zip(res.alphas, res.values, res.stderrs):
             assert abs(v - a) < 4 * se
         assert res.extrapolated < 0.05
 
     def test_comonotone_is_one_everywhere(self):
         sample = comonotone_sample(5000, d=3, shuffle_seed=1)
-        res = lambda_kendall(sample, "lower")
+        res = lambda_kendall(sample)["lower"]
         assert res.values == (1.0, 1.0, 1.0, 1.0)
         assert res.extrapolated == 1.0
         assert res.point_estimate == 1.0
@@ -414,17 +420,28 @@ class TestLambdaKendall:
 
     def test_clayton_collapsed_pair(self):
         pair = BivariateCopula("clayton", 0, (2.0,)).sample(1_000_000, 5)
-        res = lambda_kendall(pair, "lower")
+        res = lambda_kendall(pair)["lower"]
         assert abs(res.extrapolated - 2 ** -0.5) < 0.05
 
     def test_gumbel_collapsed_pair_upper(self):
         pair = BivariateCopula("gumbel", 0, (2.0,)).sample(1_000_000, 8)
-        res = lambda_kendall(pair, "upper")
+        res = lambda_kendall(pair)["upper"]
         assert abs(res.extrapolated - (2.0 - 2 ** 0.5)) < 0.05
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "ties"])
+    def test_grid_values_equal_the_q_measures(self, ties):
+        sample = uniform_sample(3000, 3, seed=5)
+        if ties:
+            sample = np.round(sample, 3)
+        assert has_column_ties(sample[:, :-1]) == ties
+        res = lambda_kendall(sample)
+        for side, q in (("lower", q_lower_kendall), ("upper", q_upper_kendall)):
+            expected = tuple(q(sample, a, a).value for a in res[side].alphas)
+            assert res[side].values == expected
 
     def test_partial_reliability(self):
         sample = uniform_sample(1600, 2, seed=2)
-        res = lambda_kendall(sample, "lower", (0.1, 0.01))
+        res = lambda_kendall(sample, (0.1, 0.01))["lower"]
         assert res.reliable == (True, False)
         assert res.smallest_reliable_alpha == 0.1
         assert res.point_estimate == res.values[0]
@@ -433,21 +450,19 @@ class TestLambdaKendall:
     def test_entirely_unreliable_grid(self):
         sample = uniform_sample(300, 2, seed=2)
         with pytest.raises(ResolutionError):
-            lambda_kendall(sample, "lower", (0.01,))
+            lambda_kendall(sample, (0.01,))
 
     def test_grid_validation(self):
         sample = uniform_sample(2000, 2, seed=2)
         with pytest.raises(DomainError):
-            lambda_kendall(sample, "lower", ())
+            lambda_kendall(sample, ())
         with pytest.raises(DomainError):
-            lambda_kendall(sample, "lower", (0.01, 0.05))
+            lambda_kendall(sample, (0.01, 0.05))
         with pytest.raises(DomainError):
-            lambda_kendall(sample, "lower", (0.2, 0.1))
-        with pytest.raises(DomainError):
-            lambda_kendall(sample, "sideways")
+            lambda_kendall(sample, (0.2, 0.1))
 
     def test_json_dict(self):
-        res = lambda_kendall(uniform_sample(4000, 2, seed=3), "upper", (0.1, 0.05))
+        res = lambda_kendall(uniform_sample(4000, 2, seed=3), (0.1, 0.05))["upper"]
         data = res.to_json_dict()
         assert data["side"] == "upper"
         assert data["alphas"] == [0.1, 0.05]
@@ -490,14 +505,14 @@ class TestScenarioCoefficient:
     def test_independence_all_high(self):
         model = three_var_model(BivariateCopula("independence"))
         p = ScenarioPattern(conditioning=((1, "H"), (2, "H")), target=0)
-        res = scenario_tail_coefficient(model, p, n_mc=50_000, seed=4)
+        res = simulated_scenario(model, p, n_mc=50_000, seed=4)
         assert abs(res.value - 0.05) < 3 * res.mc_stderr
 
     def test_double_flip_reproduces_exactly(self):
         model = three_var_model(BivariateCopula("gaussian", 0, (0.7,)))
         p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
-        a = scenario_tail_coefficient(model, p, n_mc=30_000, seed=9)
-        b = scenario_tail_coefficient(model, p.flipped().flipped(), n_mc=30_000, seed=9)
+        a = simulated_scenario(model, p, n_mc=30_000, seed=9)
+        b = simulated_scenario(model, p.flipped().flipped(), n_mc=30_000, seed=9)
         assert a.value == b.value
         assert a.mc_stderr == b.mc_stderr
         assert a.n_conditioning == b.n_conditioning
@@ -508,18 +523,18 @@ class TestScenarioCoefficient:
         model = three_var_model(BivariateCopula("gaussian", 0, (0.7,)))
         p_hh = ScenarioPattern(conditioning=((1, "H"), (2, "H")), target=0)
         p_hl = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
-        a = scenario_tail_coefficient(model, p_hh, n_mc=80_000, seed=21)
-        b = scenario_tail_coefficient(model, p_hl, n_mc=80_000, seed=22)
+        a = simulated_scenario(model, p_hh, n_mc=80_000, seed=21)
+        b = simulated_scenario(model, p_hl, n_mc=80_000, seed=22)
         assert abs(a.value - b.value) < 2 * math.hypot(a.mc_stderr, b.mc_stderr)
 
     def test_low_target_mirrors_negated_dependence(self):
-        low = scenario_tail_coefficient(
+        low = simulated_scenario(
             three_var_model(BivariateCopula("gaussian", 0, (-0.6,))),
             ScenarioPattern(conditioning=((1, "H"),), target=0, target_direction="L"),
             n_mc=80_000,
             seed=31,
         )
-        high = scenario_tail_coefficient(
+        high = simulated_scenario(
             three_var_model(BivariateCopula("gaussian", 0, (0.6,))),
             ScenarioPattern(conditioning=((1, "H"),), target=0),
             n_mc=80_000,
@@ -530,11 +545,10 @@ class TestScenarioCoefficient:
     def test_metadata_and_determinism(self):
         model = three_var_model(BivariateCopula("gumbel", 0, (1.6,)))
         p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0, beta=0.1)
-        a = scenario_tail_coefficient(model, p, n_mc=20_000, seed=3)
-        b = scenario_tail_coefficient(model, p, n_mc=20_000, seed=3)
+        a = simulated_scenario(model, p, n_mc=20_000, seed=3)
+        b = simulated_scenario(model, p, n_mc=20_000, seed=3)
         assert a == b
         assert a.metadata["pattern"] == "HL"
-        assert a.metadata["seed"] == 3
         assert a.metadata["n_mc"] == 20_000
         assert a.metadata["conditioning"] == [(1, "H"), (2, "L")]
         assert a.beta == 0.1
@@ -542,11 +556,11 @@ class TestScenarioCoefficient:
     def test_variable_range_checked(self):
         model = three_var_model(BivariateCopula("independence"))
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(
+            simulated_scenario(
                 model, ScenarioPattern(conditioning=((5, "H"),), target=0)
             )
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(
+            simulated_scenario(
                 model, ScenarioPattern(conditioning=((1, "H"),), target=7)
             )
 
@@ -554,9 +568,9 @@ class TestScenarioCoefficient:
         model = three_var_model(BivariateCopula("independence"))
         p = ScenarioPattern(conditioning=((1, "H"),), target=0, alpha=0.01)
         with pytest.raises(ResolutionError):
-            scenario_tail_coefficient(model, p, n_mc=1000, seed=0)
+            simulated_scenario(model, p, n_mc=1000, seed=0)
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(model, p, n_mc=500, seed=0)
+            simulated_scenario(model, p, n_mc=500, seed=0)
 
 
 class TestTailConcentration:

@@ -390,6 +390,8 @@ class TestSimulate:
         b = vine.simulate(model, 2000, seed=9)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, vine.simulate(model, 2000, seed=10))
+        # a shorter draw with the same seed is a prefix of the longer one
+        assert np.array_equal(vine.simulate(model, 700, seed=9), a[:700])
 
     def test_output_in_open_unit_cube(self):
         model = embedded_pair_model(BivariateCopula("gumbel", 180, (3.0,)))
@@ -459,29 +461,43 @@ class TestInducedMeasures:
     def test_spearman_independence(self):
         indep = BivariateCopula("independence")
         model = embedded_pair_model(indep)
-        res = vine.induced_spearman(model, (1, 2), n_mc=20_000, seed=5)
-        assert abs(res["estimate"]) < 0.02
-        assert res["mc_stderr"] < 0.02
+        u = vine.simulate(model, 20_000, seed=5)
+        rho, se = vine.induced_spearman(u, n_mc=20_000)
+        assert abs(rho[1, 2]) < 0.02
+        assert se[1, 2] < 0.02
 
     def test_spearman_gaussian_pair(self):
         model = embedded_pair_model(BivariateCopula("gaussian", 0, (0.5,)))
-        res = vine.induced_spearman(model, (0, 1), n_mc=100_000, seed=8)
-        assert abs(res["estimate"] - 0.4826) < 0.02
-        assert res["mc_stderr"] < 0.01
+        u = vine.simulate(model, 100_000, seed=8)
+        rho, se = vine.induced_spearman(u, n_mc=100_000)
+        assert abs(rho[0, 1] - 0.4826) < 0.02
+        assert se[0, 1] < 0.01
+
+    def test_spearman_matches_scipy_on_the_prefix(self):
+        model = embedded_pair_model(BivariateCopula("clayton", 0, (1.5,)))
+        u = vine.simulate(model, 30_000, seed=6)
+        rho, se = vine.induced_spearman(u, n_mc=20_000)
+        expected = stats.spearmanr(u[:20_000]).statistic
+        assert_allclose(rho, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(rho, rho.T) and np.array_equal(se, se.T)
+        assert np.array_equal(np.diag(rho), np.ones(3))
+        assert np.array_equal(np.diag(se), np.zeros(3))
 
     def test_spearman_preconditions(self):
         model = embedded_pair_model(BivariateCopula("independence"))
+        u = vine.simulate(model, 20_000, seed=0)
         with pytest.raises(DomainError):
-            vine.induced_spearman(model, (0, 1), n_mc=5000)
+            vine.induced_spearman(u, n_mc=5000)
         with pytest.raises(DomainError):
-            vine.induced_spearman(model, (0, 0))
-        with pytest.raises(DomainError):
-            vine.induced_spearman(model, (0, 7))
+            vine.induced_spearman(u, n_mc=30_000)
 
     def test_tdc_independence_identity(self):
         model = embedded_pair_model(BivariateCopula("independence"))
         res = vine.induced_pair_tdc(
-            model, (0, 1), alpha_grid=(0.05,), n_mc=200_000, seed=3
+            vine.simulate(model, 200_000, seed=3),
+            (0, 1),
+            alpha_grid=(0.05,),
+            n_mc=200_000,
         )
         level = res["levels"][0]
         assert abs(level["lower"] - 0.05) < 0.01
@@ -490,7 +506,10 @@ class TestInducedMeasures:
     def test_tdc_clayton_limit(self):
         model = embedded_pair_model(BivariateCopula("clayton", 0, (2.0,)))
         res = vine.induced_pair_tdc(
-            model, (0, 1), alpha_grid=(1e-3,), n_mc=2_000_000, seed=10
+            vine.simulate(model, 2_000_000, seed=10),
+            (0, 1),
+            alpha_grid=(1e-3,),
+            n_mc=2_000_000,
         )
         level = res["levels"][0]
         assert abs(level["lower"] - 2.0 ** (-0.5)) < 3.5 * level["lower_stderr"]
@@ -498,7 +517,10 @@ class TestInducedMeasures:
     def test_tdc_gaussian_monotone_decay(self):
         model = embedded_pair_model(BivariateCopula("gaussian", 0, (0.5,)))
         res = vine.induced_pair_tdc(
-            model, (0, 1), alpha_grid=(0.1, 0.05, 0.02, 0.01), n_mc=1_000_000, seed=7
+            vine.simulate(model, 1_000_000, seed=7),
+            (0, 1),
+            alpha_grid=(0.1, 0.05, 0.02, 0.01),
+            n_mc=1_000_000,
         )
         lows = [lv["lower"] for lv in res["levels"]]
         assert lows[0] < lows[1] < lows[2] < lows[3]
@@ -506,13 +528,15 @@ class TestInducedMeasures:
 
     def test_tdc_resolution_guard(self):
         model = embedded_pair_model(BivariateCopula("independence"))
+        u = vine.simulate(model, 100_000, seed=0)
         with pytest.raises(ResolutionError):
-            vine.induced_pair_tdc(model, (0, 1), alpha_grid=(1e-4,), n_mc=100_000)
+            vine.induced_pair_tdc(u, (0, 1), alpha_grid=(1e-4,), n_mc=100_000)
 
     def test_tdc_grid_domain(self):
         model = embedded_pair_model(BivariateCopula("independence"))
+        u = vine.simulate(model, 100_000, seed=0)
         with pytest.raises(DomainError):
-            vine.induced_pair_tdc(model, (0, 1), alpha_grid=(0.2,), n_mc=100_000)
+            vine.induced_pair_tdc(u, (0, 1), alpha_grid=(0.2,), n_mc=100_000)
 
 
 class TestSerialization:
