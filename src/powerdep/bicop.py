@@ -7,6 +7,12 @@ coefficients.  Rotations of 90/180/270 degrees remap the unit square so
 that single-corner families can capture the other corners and negative
 dependence.
 
+Each family's unrotated math is one row of ``_BASE``.  One reflection
+rule serves every rotation: 90 or 180 reflects u, 180 or 270 reflects v
+(x -> 1 - x), and a reflected free argument of an h-function or its
+inverse reflects the result.  Every base family is exchangeable, so the
+margin-1 h-function is the margin-2 one with u and v swapped.
+
 Evaluation clamps pseudo-observations into [1e-12, 1 - 1e-12]; values
 outside [0, 1] raise :class:`~powerdep.errors.DomainError`.
 """
@@ -387,66 +393,56 @@ def _frank_hinv_base(p, v, theta):
     return -np.log1p(gu) / theta
 
 
-def _base_cdf(family, u, v, params):
-    if family == "independence":
-        return u * v
-    if family == "gaussian":
-        return _gauss_cdf_base(u, v, params[0])
-    if family == "studentt":
-        return _t_cdf_base(u, v, params[0], params[1])
-    if family == "clayton":
-        return _clayton_cdf_base(u, v, params[0])
-    if family == "gumbel":
-        return _gumbel_cdf_base(u, v, params[0])
-    return _frank_cdf_base(u, v, params[0])
+def _indep_cdf(u, v):
+    return u * v
 
 
-def _base_logpdf(family, u, v, params):
-    if family == "independence":
-        return np.zeros(np.broadcast(u, v).shape)
-    if family == "gaussian":
-        return _gauss_logpdf_base(u, v, params[0])
-    if family == "studentt":
-        return _t_logpdf_base(u, v, params[0], params[1])
-    if family == "clayton":
-        return _clayton_logpdf_base(u, v, params[0])
-    if family == "gumbel":
-        return _gumbel_logpdf_base(u, v, params[0])
-    return _frank_logpdf_base(u, v, params[0])
+def _indep_logpdf(u, v):
+    return np.zeros(np.broadcast(u, v).shape)
 
 
-def _base_hfunc(family, u, v, params):
-    # conditional CDF of the first argument given the second
-    if family == "independence":
-        return u * np.ones_like(v)
-    if family == "gaussian":
-        return _gauss_hfunc_base(u, v, params[0])
-    if family == "studentt":
-        return _t_hfunc_base(u, v, params[0], params[1])
-    if family == "clayton":
-        return _clayton_hfunc_base(u, v, params[0])
-    if family == "gumbel":
-        return _gumbel_hfunc_base(u, v, params[0])
-    return _frank_hfunc_base(u, v, params[0])
+def _indep_hfunc(u, v):
+    return u * np.ones_like(v)
 
 
-def _base_hinv(family, p, v, params):
-    if family == "independence":
-        return p * np.ones_like(v)
-    if family == "gaussian":
-        return _gauss_hinv_base(p, v, params[0])
-    if family == "studentt":
-        return _t_hinv_base(p, v, params[0], params[1])
-    if family == "clayton":
-        return _clayton_hinv_base(p, v, params[0])
-    if family == "gumbel":
-        return _gumbel_hinv_base(p, v, params[0])
-    return _frank_hinv_base(p, v, params[0])
+# family -> (cdf, logpdf, hfunc, hinv), each called as fn(u, v, *params); hfunc
+# conditions u on v and hinv inverts it in u, so independence's hinv is its hfunc
+_CDF, _LOGPDF, _HFUNC, _HINV = range(4)
+_BASE = {
+    "independence": (_indep_cdf, _indep_logpdf, _indep_hfunc, _indep_hfunc),
+    "gaussian": (
+        _gauss_cdf_base, _gauss_logpdf_base, _gauss_hfunc_base, _gauss_hinv_base
+    ),
+    "studentt": (_t_cdf_base, _t_logpdf_base, _t_hfunc_base, _t_hinv_base),
+    "clayton": (
+        _clayton_cdf_base, _clayton_logpdf_base, _clayton_hfunc_base, _clayton_hinv_base
+    ),
+    "gumbel": (
+        _gumbel_cdf_base, _gumbel_logpdf_base, _gumbel_hfunc_base, _gumbel_hinv_base
+    ),
+    "frank": (_frank_cdf_base, _frank_logpdf_base, _frank_hfunc_base, _frank_hinv_base),
+}
 
 
 # ---------------------------------------------------------------------------
 # rotation plumbing
 # ---------------------------------------------------------------------------
+
+
+def _reflects(rotation):
+    """(reflect u, reflect v): 90 or 180 reflects u, 180 or 270 reflects v."""
+    return rotation in (90, 180), rotation in (180, 270)
+
+
+def _reflect(u, v, rotation):
+    flip_u, flip_v = _reflects(rotation)
+    return (1.0 - u if flip_u else u), (1.0 - v if flip_v else v)
+
+
+def _concordance_sign(rotation):
+    # reflecting exactly one margin reverses the sign of tau and rho_S
+    flip_u, flip_v = _reflects(rotation)
+    return -1.0 if flip_u != flip_v else 1.0
 
 
 def cdf(copula, u, v):
@@ -464,15 +460,16 @@ def cdf(copula, u, v):
     """
     u = _clip_unit(u, "u")
     v = _clip_unit(v, "v")
-    fam, par, rot = copula.family, copula.params, copula.rotation
+    base, par, rot = _BASE[copula.family][_CDF], copula.params, copula.rotation
+    # one branch per rotation keeps each identity's float operation order
     if rot == 0:
-        raw = _base_cdf(fam, u, v, par)
+        raw = base(u, v, *par)
     elif rot == 90:
-        raw = v - _base_cdf(fam, 1.0 - u, v, par)
+        raw = v - base(1.0 - u, v, *par)
     elif rot == 180:
-        raw = u + v - 1.0 + _base_cdf(fam, 1.0 - u, 1.0 - v, par)
+        raw = u + v - 1.0 + base(1.0 - u, 1.0 - v, *par)
     else:
-        raw = u - _base_cdf(fam, u, 1.0 - v, par)
+        raw = u - base(u, 1.0 - v, *par)
     lower = np.maximum(u + v - 1.0, 0.0)
     upper = np.minimum(u, v)
     return np.clip(raw, lower, upper)
@@ -480,28 +477,27 @@ def cdf(copula, u, v):
 
 def pdf(copula, u, v):
     """Copula density c(u, v)."""
-    u = _clip_unit(u, "u")
-    v = _clip_unit(v, "v")
-    ur, vr = _rotate_args(u, v, copula.rotation)
-    return np.exp(_base_logpdf(copula.family, ur, vr, copula.params))
+    return np.exp(log_pdf(copula, u, v))
 
 
 def log_pdf(copula, u, v):
     """Natural log of the copula density, stable in the tails."""
     u = _clip_unit(u, "u")
     v = _clip_unit(v, "v")
-    ur, vr = _rotate_args(u, v, copula.rotation)
-    return _base_logpdf(copula.family, ur, vr, copula.params)
+    ur, vr = _reflect(u, v, copula.rotation)
+    return _BASE[copula.family][_LOGPDF](ur, vr, *copula.params)
 
 
-def _rotate_args(u, v, rotation):
-    if rotation == 0:
-        return u, v
-    if rotation == 90:
-        return 1.0 - u, v
-    if rotation == 180:
-        return 1.0 - u, 1.0 - v
-    return u, 1.0 - v
+def _conditional(copula, column, x, w, margin):
+    # the free argument x is u at margin 2 and v at margin 1 (u, v swapped)
+    flip_u, flip_v = _reflects(copula.rotation)
+    flip_x, flip_w = (flip_u, flip_v) if margin == 2 else (flip_v, flip_u)
+    fn = _BASE[copula.family][column]
+    if flip_w:
+        w = 1.0 - w
+    if flip_x:
+        return 1.0 - fn(1.0 - x, w, *copula.params)
+    return fn(x, w, *copula.params)
 
 
 def hfunc(copula, u, v, margin=2):
@@ -515,28 +511,8 @@ def hfunc(copula, u, v, margin=2):
         raise DomainError("margin must be 1 or 2")
     u = _clip_unit(u, "u")
     v = _clip_unit(v, "v")
-    fam, par, rot = copula.family, copula.params, copula.rotation
-    # base h2(a, b) conditions the first argument on the second; the
-    # exchangeable base families give h1 by swapping the arguments
-    if margin == 2:
-        if rot == 0:
-            raw = _base_hfunc(fam, u, v, par)
-        elif rot == 90:
-            raw = 1.0 - _base_hfunc(fam, 1.0 - u, v, par)
-        elif rot == 180:
-            raw = 1.0 - _base_hfunc(fam, 1.0 - u, 1.0 - v, par)
-        else:
-            raw = _base_hfunc(fam, u, 1.0 - v, par)
-    else:
-        if rot == 0:
-            raw = _base_hfunc(fam, v, u, par)
-        elif rot == 90:
-            raw = _base_hfunc(fam, v, 1.0 - u, par)
-        elif rot == 180:
-            raw = 1.0 - _base_hfunc(fam, 1.0 - v, 1.0 - u, par)
-        else:
-            raw = 1.0 - _base_hfunc(fam, 1.0 - v, u, par)
-    return np.clip(raw, 0.0, 1.0)
+    x, w = (u, v) if margin == 2 else (v, u)
+    return np.clip(_conditional(copula, _HFUNC, x, w, margin), 0.0, 1.0)
 
 
 def hinv(copula, p, w, margin=2):
@@ -549,26 +525,7 @@ def hinv(copula, p, w, margin=2):
         raise DomainError("margin must be 1 or 2")
     p = _clip_unit(p, "p")
     w = _clip_unit(w, "w")
-    fam, par, rot = copula.family, copula.params, copula.rotation
-    if margin == 2:
-        if rot == 0:
-            raw = _base_hinv(fam, p, w, par)
-        elif rot == 90:
-            raw = 1.0 - _base_hinv(fam, 1.0 - p, w, par)
-        elif rot == 180:
-            raw = 1.0 - _base_hinv(fam, 1.0 - p, 1.0 - w, par)
-        else:
-            raw = _base_hinv(fam, p, 1.0 - w, par)
-    else:
-        if rot == 0:
-            raw = _base_hinv(fam, p, w, par)
-        elif rot == 90:
-            raw = _base_hinv(fam, p, 1.0 - w, par)
-        elif rot == 180:
-            raw = 1.0 - _base_hinv(fam, 1.0 - p, 1.0 - w, par)
-        else:
-            raw = 1.0 - _base_hinv(fam, 1.0 - p, w, par)
-    return np.clip(raw, EPS, 1.0 - EPS)
+    return np.clip(_conditional(copula, _HINV, p, w, margin), EPS, 1.0 - EPS)
 
 
 def sample(copula, n, seed):
@@ -586,17 +543,9 @@ def sample(copula, n, seed):
     rng = np.random.default_rng(seed)
     w = rng.random((int(n), 2))
     u = np.clip(w[:, 0], EPS, 1.0 - EPS)
-    v = _base_hinv(copula.family, np.clip(w[:, 1], EPS, 1.0 - EPS), u, copula.params)
-    rot = copula.rotation
-    if rot == 90:
-        u = 1.0 - u
-    elif rot == 180:
-        u = 1.0 - u
-        v = 1.0 - v
-    elif rot == 270:
-        v = 1.0 - v
-    out = np.column_stack([u, v])
-    return np.clip(out, EPS, 1.0 - EPS)
+    p = np.clip(w[:, 1], EPS, 1.0 - EPS)
+    v = _BASE[copula.family][_HINV](p, u, *copula.params)
+    return np.clip(np.column_stack(_reflect(u, v, copula.rotation)), EPS, 1.0 - EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +576,7 @@ def _base_tau(family, params):
 
 def tau_of(copula):
     """Population Kendall tau of the copula (sign follows the rotation)."""
-    sign = 1.0 if copula.rotation in (0, 180) else -1.0
-    return sign * _base_tau(copula.family, copula.params)
+    return _concordance_sign(copula.rotation) * _base_tau(copula.family, copula.params)
 
 
 def _base_spearman(family, params):
@@ -643,14 +591,14 @@ def _base_spearman(family, params):
     x = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     uu, vv = np.meshgrid(x, x)
-    cvals = _base_cdf(family, uu, vv, params)
+    cvals = _BASE[family][_CDF](uu, vv, *params)
     integral = float((cvals * np.outer(w, w)).sum())
     return 12.0 * integral - 3.0
 
 
 def spearman_of(copula):
     """Population Spearman rho; closed form where known, else quadrature."""
-    sign = 1.0 if copula.rotation in (0, 180) else -1.0
+    sign = _concordance_sign(copula.rotation)
     return sign * _base_spearman(copula.family, copula.params)
 
 
@@ -744,7 +692,7 @@ def _required_sign(family, rotation):
     # families concentrated in a single corner can only express one
     # dependence sign per orientation
     if family in ("clayton", "gumbel"):
-        return 1 if rotation in (0, 180) else -1
+        return _concordance_sign(rotation)
     return 0
 
 
@@ -803,17 +751,17 @@ def fit_mle(family, rotation, pseudo_obs):
         )
 
     # fit the base family on data reflected into its native orientation
-    u, v = _rotate_args(
+    u, v = _reflect(
         np.clip(obs[:, 0], EPS, 1.0 - EPS),
         np.clip(obs[:, 1], EPS, 1.0 - EPS),
         rotation,
     )
-    tau_base = tau_hat if rotation in (0, 180) else -tau_hat
+    tau_init = _tau_init(family, _concordance_sign(rotation) * tau_hat)
 
     if family == "studentt":
-        params, loglik, converged = _fit_studentt(u, v, tau_base)
+        params, loglik, converged = _fit_studentt(u, v, tau_init)
     else:
-        params, loglik, converged = _fit_one_param(family, u, v, tau_base)
+        params, loglik, converged = _fit_one_param(family, u, v, tau_init)
 
     if not converged:
         raise OptimizationError(
@@ -836,16 +784,17 @@ def fit_mle(family, rotation, pseudo_obs):
         n_obs=n,
         converged=True,
         boundary=boundary,
-        diagnostics={"tau": tau_hat, "tau_init": _tau_init(family, tau_base)},
+        diagnostics={"tau": tau_hat, "tau_init": tau_init},
     )
 
 
-def _fit_one_param(family, u, v, tau_base):
+def _fit_one_param(family, u, v, tau_init):
     (lo, hi) = _PARAM_BOUNDS[family][0]
-    x0 = float(np.clip(_tau_init(family, tau_base), lo, hi))
+    x0 = float(np.clip(tau_init, lo, hi))
+    logpdf = _BASE[family][_LOGPDF]
 
     def nll(theta):
-        return -float(np.sum(_base_logpdf(family, u, v, (theta[0],))))
+        return -float(np.sum(logpdf(u, v, theta[0])))
 
     res = optimize.minimize(
         nll,
@@ -858,11 +807,11 @@ def _fit_one_param(family, u, v, tau_base):
     return (theta,), -float(res.fun), bool(res.success)
 
 
-def _fit_studentt(u, v, tau_base):
+def _fit_studentt(u, v, tau_init):
     # profile likelihood over a log-spaced nu grid, then a local refinement
     rho_bounds = _PARAM_BOUNDS["studentt"][0]
     nu_lo, nu_hi = _PARAM_BOUNDS["studentt"][1]
-    rho0 = float(np.clip(_tau_init("gaussian", tau_base), *rho_bounds))
+    rho0 = float(np.clip(tau_init, *rho_bounds))
 
     def profile(nu):
         # the t quantiles depend on nu only; hoist them out of the rho search

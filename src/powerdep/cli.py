@@ -528,7 +528,6 @@ def _cmd_roll(args):
         seed=args.seed,
         window_days=args.window,
         step_days=args.step,
-        jobs=args.jobs,
     )
     panels = {h: slice_hour(records, h) for h in config.hours}
     results = pipeline.run_rolling(panels, config)
@@ -651,7 +650,6 @@ def build_parser():
     p.add_argument("--hours", help="comma list of hours")
     p.add_argument("--window", type=int, help="window length in days (default 730)")
     p.add_argument("--step", type=int, help="roll step in days (default 1)")
-    p.add_argument("--jobs", type=int, help="parallel hour jobs")
     p.set_defaults(func=_cmd_roll)
 
     p = sub.add_parser("simulate", help="simulate from a stored vine model")

@@ -6,7 +6,9 @@ O(m log^2 m) through a bottom-up merge pass so that samples of a million
 rows stay comfortably fast; higher dimensions fall back to a chunked
 O(m^2) scan that prunes on the first coordinate.
 
-Counts are exact.  The fast two-dimensional path requires tie-free
+Counts are exact.  The merge pass keys each value by its exact rank
+(integers in float64), so neighbouring doubles stay distinct however
+close they are.  The fast two-dimensional path requires tie-free
 columns (the continuous samples produced elsewhere in the package never
 tie); inputs with ties are routed to the exact brute-force path.
 """
@@ -47,12 +49,11 @@ def _prior_smaller_counts(values):
     n = values.size
     if n < 2:
         return np.zeros(n, dtype=np.int64)
-    lo = float(values.min())
-    hi = float(values.max())
-    scaled = (values - lo) / (hi - lo) * 0.5 + 0.25  # into [0.25, 0.75]
+    # exact integer keys: ranks in [0, n), padding n, block offsets
+    # (n + 1) * block, all far below 2**53
     size = 1 << int(n - 1).bit_length()
-    buf = np.full(size, 2.0)
-    buf[:n] = scaled
+    buf = np.full(size, float(n))
+    buf[np.argsort(values)] = np.arange(n)
     idx = np.arange(size)
     counts = np.zeros(size, dtype=np.int64)
     width = 1
@@ -60,7 +61,7 @@ def _prior_smaller_counts(values):
         nblocks = size // (2 * width)
         block_vals = buf.reshape(nblocks, 2 * width)
         block_idx = idx.reshape(nblocks, 2 * width)
-        offsets = 4.0 * np.arange(nblocks)
+        offsets = (n + 1.0) * np.arange(nblocks)
         left_keys = (block_vals[:, :width] + offsets[:, None]).ravel()
         right_keys = (block_vals[:, width:] + offsets[:, None]).ravel()
         pos = np.searchsorted(left_keys, right_keys, side="left")

@@ -167,6 +167,68 @@ def test_rotation_90_270_identities():
     )
 
 
+ORACLE_PARAMS = {
+    "independence": (),
+    "gaussian": (0.5,),
+    "studentt": (0.5, 4.0),
+    "clayton": (2.0,),
+    "gumbel": (1.7,),
+    "frank": (-3.0,),
+}
+
+# One explicit branch per (margin, rotation), as hfunc and hinv once spelled
+# them out; both had these eight branches in (free x, given w) form.  f is
+# the rotation-0 function at margin 2.
+CONDITIONAL_ORACLE = {
+    (2, 0): lambda f, x, w: f(x, w),
+    (2, 90): lambda f, x, w: 1.0 - f(1.0 - x, w),
+    (2, 180): lambda f, x, w: 1.0 - f(1.0 - x, 1.0 - w),
+    (2, 270): lambda f, x, w: f(x, 1.0 - w),
+    (1, 0): lambda f, x, w: f(x, w),
+    (1, 90): lambda f, x, w: f(x, 1.0 - w),
+    (1, 180): lambda f, x, w: 1.0 - f(1.0 - x, 1.0 - w),
+    (1, 270): lambda f, x, w: 1.0 - f(1.0 - x, w),
+}
+
+
+@pytest.mark.parametrize("family", ORACLE_PARAMS)
+@pytest.mark.parametrize("rotation", bicop.ROTATIONS)
+@pytest.mark.parametrize("margin", [1, 2])
+def test_reflection_rule_matches_per_rotation_branches(family, rotation, margin):
+    # interior points, where no clip fires, so the two agree bit for bit
+    base = make(family, 0, ORACLE_PARAMS[family])
+    cop = make(family, rotation, ORACLE_PARAMS[family])
+    x, w = np.random.default_rng(40).uniform(0.01, 0.99, (2, 200))
+    branch = CONDITIONAL_ORACLE[margin, rotation]
+    u, v = (x, w) if margin == 2 else (w, x)
+    assert np.array_equal(
+        bicop.hfunc(cop, u, v, margin=margin),
+        branch(lambda a, b: bicop.hfunc(base, a, b, margin=2), x, w),
+    )
+    assert np.array_equal(
+        bicop.hinv(cop, x, w, margin=margin),
+        branch(lambda a, b: bicop.hinv(base, a, b, margin=2), x, w),
+    )
+
+
+@pytest.mark.parametrize("family", ORACLE_PARAMS)
+@pytest.mark.parametrize("rotation", bicop.ROTATIONS)
+def test_sample_reflects_the_rotation_zero_sample(family, rotation):
+    params = ORACLE_PARAMS[family]
+    s = bicop.sample(make(family, 0, params), 2000, seed=19)
+    u, v = s[:, 0], s[:, 1]
+    reflected = {
+        0: (u, v),
+        90: (1.0 - u, v),
+        180: (1.0 - u, 1.0 - v),
+        270: (u, 1.0 - v),
+    }
+    assert np.array_equal(
+        bicop.sample(make(family, rotation, params), 2000, seed=19),
+        np.column_stack(reflected[rotation]),
+    )
+
+
 def test_pdf_mass_matches_cdf_inclusion_exclusion():
     # numeric double integral of the density over [0.01, 0.99]^2 against
     # the inclusion-exclusion mass of the same square

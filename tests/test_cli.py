@@ -350,6 +350,13 @@ class TestCliContract:
         capsys.readouterr()
         assert code == 2
 
+    def test_roll_has_no_jobs_flag(self, capsys):
+        # the rolling study runs its hours serially, so a jobs flag would
+        # do nothing
+        code = cli.main(["roll", "--hours", "3", "--jobs", "2"])
+        capsys.readouterr()
+        assert code == 2
+
     def test_help_exits_zero(self, capsys):
         code = cli.main(["--help"])
         capsys.readouterr()

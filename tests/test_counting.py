@@ -26,9 +26,14 @@ def point_clouds(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     pts = rng.random((m, d))
-    if draw(st.booleans()):
+    variant = draw(st.sampled_from(("plain", "ties", "neighbours")))
+    if variant == "ties":
         # coarse rounding forces ties in every column
         pts = np.round(pts, 1)
+    elif variant == "neighbours":
+        # adjacent doubles: distinct values one unit in the last place apart
+        half = m // 2
+        pts[half:] = np.nextafter(pts[: m - half], 1.0)
     return pts
 
 
@@ -59,6 +64,15 @@ def test_weak_equals_strict_plus_one_without_ties():
 def test_merge_path_agrees_with_brute_force_medium(d):
     rng = np.random.default_rng(17 + d)
     pts = rng.random((5000, d))
+    assert np.array_equal(counting.strict_dominance_counts(pts), brute_strict(pts))
+
+
+def test_adjacent_doubles_stay_distinct_on_the_merge_path():
+    # tie-free columns one unit in the last place apart take the merge
+    # path, which must keep them distinct
+    pts = np.array([[0.0, 0.5], [1.0, np.nextafter(0.5, 1.0)], [2.0, 0.0], [3.0, 1.0]])
+    assert not counting.has_column_ties(pts)
+    assert np.array_equal(counting.strict_dominance_counts(pts), [0, 1, 0, 3])
     assert np.array_equal(counting.strict_dominance_counts(pts), brute_strict(pts))
 
 

@@ -2,10 +2,14 @@
 
 ``perfbench/run.py --trace 1`` wraps public functions by (module,
 attribute) and binds its counters to parameter names, so a rename here
-breaks it.  This runs one small quadrivariate hour under the benchmark's
-own recorder and layer table.
+breaks it.  One check reads the layer table without running anything, so
+it also covers layers the traced hour never calls (``load_csv``,
+``rolling_hour``, ``write_report_bundle``, ``cross_weak_counts``); the
+other runs one small quadrivariate hour under the benchmark's own
+recorder and layer table.
 """
 
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -46,3 +50,26 @@ def test_traced_quad_hour_draws_once_and_counts_once_per_sample(perfbench):
     assert names.count("vine.simulate") == 1
     # one count for lambda_K (both sides) and one per scenario
     assert recorder.counts["counting.calls"] == 1 + len(result.scenario_table)
+
+
+def test_every_traced_layer_resolves_and_binds_existing_parameters(perfbench):
+    run, _ = perfbench
+    program = types.SimpleNamespace(
+        np=np, data_ingest=data_ingest, pipeline=pipeline, taildep=taildep, vine=vine
+    )
+    bound = {}
+    for module, attribute, _, count in run.traced_layers(program):
+        name = f"{module.__name__}.{attribute}"
+        target = getattr(module, attribute, None)
+        assert callable(target), name
+        argument = count and inspect.getclosurevars(count).nonlocals.get("argument")
+        if argument:
+            assert argument in inspect.signature(target).parameters, name
+            bound[name] = argument
+    assert bound.items() >= {
+        "powerdep.vine.simulate": "n",
+        "powerdep.vine.induced_pair_tdc": "n_mc",
+        "powerdep.taildep.strict_dominance_counts": "points",
+        "powerdep.taildep.weak_dominance_counts": "points",
+        "powerdep.taildep.cross_weak_counts": "queries",
+    }.items()
