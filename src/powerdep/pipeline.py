@@ -411,7 +411,7 @@ def analyze_hour(panel, config):
             sample, (i, j), config.tdc_grid, n_mc=config.n_mc_tdc
         )
 
-    # keep only the rows the O(m^2) counting reads, so the long draw is
+    # keep only the rows the dominance counting reads, so the long draw is
     # freed before it
     sample = sample[: max(config.n_mc_lambda, config.n_mc_scenario)].copy()
     lam_sample = sample[: config.n_mc_lambda]

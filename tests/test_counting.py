@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from powerdep import counting
 
@@ -107,3 +107,54 @@ def test_rejects_empty_and_nonfinite():
         counting.strict_dominance_counts(np.empty((0, 2)))
     with pytest.raises(ValueError):
         counting.strict_dominance_counts(np.array([[0.1, np.nan]]))
+
+
+@given(
+    m=st.sampled_from((1, 2, 3, 4, 255, 256, 257, 1023, 1024, 1025, 3001)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    variant=st.sampled_from(("plain", "neighbours")),
+)
+def test_three_column_kernel_matches_brute_force(m, seed, variant):
+    pts = np.random.default_rng(seed).random((m, 3))
+    if variant == "neighbours":
+        half = m // 2
+        pts[half:] = np.nextafter(pts[: m - half], 1.0)
+    assume(not counting.has_column_ties(pts))
+    assert np.array_equal(
+        counting.strict_dominance_counts(pts), counting._brute_counts(pts, pts, True)
+    )
+
+
+def test_three_column_kernel_matches_brute_force_large():
+    pts = np.random.default_rng(2024).random((20_000, 3))
+    assert np.array_equal(
+        counting.strict_dominance_counts(pts), counting._brute_counts(pts, pts, True)
+    )
+
+
+def test_tie_free_three_columns_never_reach_the_brute_path(monkeypatch):
+    pts = np.random.default_rng(8).random((300, 3))
+    expected = brute_strict(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tie-free 3-column input reached _brute_counts")
+
+    monkeypatch.setattr(counting, "_brute_counts", refuse)
+    strict = counting.strict_dominance_counts(pts)
+    assert np.array_equal(strict, expected)
+    assert np.array_equal(counting.weak_dominance_counts(pts), strict + 1)
+
+
+def test_tied_three_columns_take_the_brute_path(monkeypatch):
+    pts = np.round(np.random.default_rng(8).random((300, 3)), 1)
+    assert counting.has_column_ties(pts)
+    calls = []
+    brute = counting._brute_counts
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_brute_counts", spy)
+    assert np.array_equal(counting.weak_dominance_counts(pts), brute_weak(pts))
+    assert len(calls) == 1

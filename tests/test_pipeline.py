@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from powerdep import cli, pipeline
+from powerdep import cli, counting, pipeline, taildep
 from powerdep.data_ingest import HourlyPanel, slice_hour
 from powerdep.errors import ConfigError, DomainError
 from powerdep.pipeline import (
@@ -249,6 +249,36 @@ class TestRunGlobal:
             assert [r["result"].value for r in a.scenario_table] == [
                 r["result"].value for r in b.scenario_table
             ]
+
+    def test_quad_hour_tail_measures_match_brute_force_counts(self, panels, monkeypatch):
+        # the fast 3-column counting kernel must leave lambda_K and every
+        # scenario coefficient exactly as the brute-force count gives them
+        config = small_config(
+            hours=(12,),
+            n_mc_spearman=10_000,
+            n_mc_tdc=2_000,
+            n_mc_lambda=2_000,
+            n_mc_scenario=1_000,
+        )
+
+        def tail_json(result):
+            # compared as JSON text: NaN entries never compare equal as floats
+            return json.dumps(
+                [
+                    {k: v.to_json_dict() for k, v in result.lambda_k.items()},
+                    [row["result"].to_json_dict() for row in result.scenario_table],
+                ],
+                sort_keys=True,
+            )
+
+        fast = tail_json(pipeline.analyze_hour(panels[12], config))
+        monkeypatch.setattr(
+            taildep,
+            "strict_dominance_counts",
+            lambda x: counting._brute_counts(x, x, True),
+        )
+        brute = tail_json(pipeline.analyze_hour(panels[12], config))
+        assert fast == brute
 
     def test_hour_variable_split_enforced_structurally(self):
         with pytest.raises(DomainError):
