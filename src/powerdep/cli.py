@@ -282,16 +282,21 @@ def _synth_meta(days, seed, flavor, start, hours):
 # ---------------------------------------------------------------------------
 
 
+def _load_json_file(path, what):
+    """Parsed JSON of ``path``; a missing or malformed file is a config error."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found", location=path) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file is not valid JSON: {exc}", location=path) from None
+
+
 def _load_config_file(path):
     if path is None:
         return {}
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError("config file not found", location=path) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}", location=path) from None
+    data = _load_json_file(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a flat JSON object", location=path)
     return data
@@ -328,22 +333,13 @@ def _parse_hours_value(value):
     return hours
 
 
-def _analysis_config(args, cfg, **overrides):
-    kwargs = {}
-    for name in AnalysisConfig.__dataclass_fields__:
-        if name in cfg:
-            kwargs[name] = cfg[name]
-    for name, value in overrides.items():
-        if value is not None:
-            kwargs[name] = value
+def _analysis_config(cfg, **overrides):
+    """The config file's ``AnalysisConfig`` fields, then non-None overrides."""
+    kwargs = {k: v for k, v in cfg.items() if k in AnalysisConfig.__dataclass_fields__}
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     if "hours" in kwargs:
         kwargs["hours"] = _parse_hours_value(kwargs["hours"])
-    if "candidates" in kwargs:
-        kwargs["candidates"] = tuple(tuple(c) for c in kwargs["candidates"])
-    for key in ("alpha_grid", "tdc_grid", "scenarios"):
-        if key in kwargs and not isinstance(kwargs[key], tuple):
-            kwargs[key] = tuple(kwargs[key])
-    return AnalysisConfig(**kwargs)
+    return AnalysisConfig.from_json_dict(kwargs)
 
 
 def _load_records(args, cfg):
@@ -391,9 +387,7 @@ def _publish(args, cfg, out, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_synth(args, cfg, out):
     days = int(_get(args, cfg, "days", 800))
     seed = int(_get(args, cfg, "seed", 0))
     flavor = str(_get(args, cfg, "flavor", "gaussian"))
@@ -412,9 +406,7 @@ def _cmd_synth(args):
     )
 
 
-def _cmd_ingest(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_ingest(args, cfg, out):
     records, log = _load_records(args, cfg)
     hours = _parse_hours_value(_get(args, cfg, "hours", None))
     if hours is None:
@@ -433,9 +425,7 @@ def _cmd_ingest(args):
     return _publish(args, cfg, out, artifacts)
 
 
-def _cmd_fit_marginals(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_fit_marginals(args, cfg, out):
     panel, _ = _load_panel(args, cfg)
     dummies = build_dummies(panel.dates)
     fits = {}
@@ -447,15 +437,10 @@ def _cmd_fit_marginals(args):
     return _publish(args, cfg, out, {"marginals": (name, report)})
 
 
-def _cmd_fit_vine(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_fit_vine(args, cfg, out):
     panel, _ = _load_panel(args, cfg)
-    config = _analysis_config(args, cfg, hours=(panel.hour,), seed=args.seed)
-    pseudo, fits, _ = pipeline.aligned_pseudo_obs(panel)
-    model = vine.fit_auto(
-        pseudo, candidates=config.candidates, indep_test=config.indep_test
-    )
+    config = _analysis_config(cfg, hours=(panel.hour,), seed=args.seed)
+    fits, model = pipeline.fit_hour(panel, config)
     report = {
         "hour": panel.hour,
         "variables": list(panel.variable_names),
@@ -466,12 +451,9 @@ def _cmd_fit_vine(args):
     return _publish(args, cfg, out, {"vine": (name, pipeline._json_bytes(report))})
 
 
-def _run_hour_analysis(args, scenario_override):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _run_hour_analysis(args, cfg, scenario_override):
     panel, _ = _load_panel(args, cfg)
     config = _analysis_config(
-        args,
         cfg,
         hours=(panel.hour,),
         seed=args.seed,
@@ -479,13 +461,12 @@ def _run_hour_analysis(args, scenario_override):
         beta=getattr(args, "beta", None),
         scenarios=scenario_override,
     )
-    result = pipeline.analyze_hour(panel, config)
-    return cfg, out, config, result
+    return pipeline.analyze_hour(panel, config)
 
 
-def _cmd_tail(args):
+def _cmd_tail(args, cfg, out):
     patterns = tuple(args.pattern.split(",")) if args.pattern else None
-    cfg, out, config, result = _run_hour_analysis(args, patterns)
+    result = _run_hour_analysis(args, cfg, patterns)
     rows = pipeline.series_rows(
         GlobalRunResult(results=(result,), failures=()), ()
     )
@@ -501,9 +482,9 @@ def _cmd_tail(args):
     )
 
 
-def _cmd_scenarios(args):
+def _cmd_scenarios(args, cfg, out):
     patterns = tuple(args.pattern.split(",")) if args.pattern else None
-    cfg, out, config, result = _run_hour_analysis(args, patterns)
+    result = _run_hour_analysis(args, cfg, patterns)
     rows = [
         row
         for row in pipeline.series_rows(
@@ -517,12 +498,9 @@ def _cmd_scenarios(args):
     )
 
 
-def _cmd_roll(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_roll(args, cfg, out):
     records, _ = _load_records(args, cfg)
     config = _analysis_config(
-        args,
         cfg,
         hours=_parse_hours_value(_get(args, cfg, "hours", None)),
         seed=args.seed,
@@ -544,21 +522,11 @@ def _cmd_roll(args):
     )
 
 
-def _cmd_simulate(args):
-    cfg = _load_config_file(args.config)
-    out = _out_dir(args, cfg)
+def _cmd_simulate(args, cfg, out):
     model_path = _get(args, cfg, "model", None)
     if model_path is None:
         raise ConfigError("a --model vine JSON path is required")
-    try:
-        with open(model_path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError("model file not found", location=model_path) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"model file is not valid JSON: {exc}", location=model_path
-        ) from None
+    data = _load_json_file(model_path, "model")
     model = VineModel.from_json_dict(data.get("vine", data))
     n = int(_get(args, cfg, "n", 10_000))
     seed = int(_get(args, cfg, "seed", 0))
@@ -668,7 +636,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        cfg = _load_config_file(args.config)
+        return args.func(args, cfg, _out_dir(args, cfg))
     except PowerdepError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict()) + "\n")
         return 1

@@ -6,6 +6,13 @@ recursion with Gaussian innovations.  All parameters are estimated in one
 joint maximum-likelihood pass, optimised in an unconstrained
 parameterisation (log variance level, simplex-mapped ARCH/GARCH weights)
 so stationarity and positivity hold at every iterate.
+
+One filter, ``_garch_filter``, turns (design, target, parameters) into
+the mean residuals, the variance path started at their sample variance,
+and the Gaussian negative log-likelihood.  The optimiser's objective,
+the fitted paths, ``ar_garch_loglik``, ``filter_residuals`` and the
+refiltering in ``MarginalFit.from_json_dict`` all go through it, so a
+refiltered series reproduces the fit's own paths exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from .errors import (
 _STATIONARITY_GAP = 1e-6
 
 _PIT_CLIP = 1e-12
+
+_LOG_2PI = np.log(2.0 * np.pi)
 
 DEFAULT_LAG_SETS = {
     "price": (1, 2, 7),
@@ -151,10 +160,12 @@ class MarginalFit:
             },
         )
         if series is not None:
-            eta, sigma2 = _filter_paths(fit, np.asarray(series, float), dummies)
-            fit.residuals = eta
+            eps, sigma2, _ = _refilter(
+                series, dummies, spec, fit.phi, fit.psi, fit.omega, fit.alpha, fit.beta
+            )
             fit.sigma2_path = sigma2
-            fit.pseudo_obs = pit_transform(eta, mode="gaussian")
+            fit.residuals = eps / np.sqrt(sigma2)
+            fit.pseudo_obs = pit_transform(fit.residuals, mode="gaussian")
         return fit
 
 
@@ -188,6 +199,22 @@ def _garch_path(eps, omega, alpha, beta, sigma2_init):
         return np.array([sigma2_init])
     rest = lfilter([1.0], [1.0, -beta], drive, zi=[beta * sigma2_init])[0]
     return np.concatenate(([sigma2_init], rest))
+
+
+def _garch_filter(design, target, mean, omega, alpha, beta):
+    """Mean residuals, GARCH variance path and Gaussian negative log-likelihood.
+
+    The variance recursion starts at the sample variance of the
+    residuals.  A variance path that is not finite and positive gets a
+    negative log-likelihood of ``inf``; that check runs before any
+    logarithm is taken.
+    """
+    eps = target - design @ mean
+    sigma2_init = max(float(np.var(eps)), 1e-300)
+    sigma2 = _garch_path(eps, omega, alpha, beta, sigma2_init)
+    if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0.0):
+        return eps, sigma2, np.inf
+    return eps, sigma2, 0.5 * np.sum(_LOG_2PI + np.log(sigma2) + eps * eps / sigma2)
 
 
 def _unpack(x, n_mean):
@@ -255,16 +282,9 @@ def fit_ar_garch(series, dummies, spec):
     omega0 = var0 * (1.0 - alpha0 - beta0)
     x0 = _pack(mean0, omega0, alpha0, beta0)
     n_mean = mean0.size
-    log2pi = np.log(2.0 * np.pi)
 
     def negloglik(x):
-        mean, omega, alpha, beta = _unpack(x, n_mean)
-        eps = target - design @ mean
-        sigma2_init = max(float(np.var(eps)), 1e-300)
-        sigma2 = _garch_path(eps, omega, alpha, beta, sigma2_init)
-        if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0.0):
-            return 1e10
-        val = 0.5 * np.sum(log2pi + np.log(sigma2) + eps * eps / sigma2)
+        _, _, val = _garch_filter(design, target, *_unpack(x, n_mean))
         return val if np.isfinite(val) else 1e10
 
     res = optimize.minimize(
@@ -286,9 +306,7 @@ def fit_ar_garch(series, dummies, spec):
             },
         )
 
-    eps = target - design @ mean
-    sigma2_init = max(float(np.var(eps)), 1e-300)
-    sigma2 = _garch_path(eps, omega, alpha, beta, sigma2_init)
+    eps, sigma2, _ = _garch_filter(design, target, mean, omega, alpha, beta)
     eta = eps / np.sqrt(sigma2)
     boundary = bool(alpha + beta > 1.0 - _STATIONARITY_GAP - 1e-4)
     fit = MarginalFit(
@@ -315,32 +333,22 @@ def ar_garch_loglik(series, dummies, spec, phi, psi, omega, alpha, beta):
 
     Uses the same effective sample and variance initialisation as
     ``fit_ar_garch``, so values are directly comparable with
-    ``MarginalFit.loglik``.
+    ``MarginalFit.loglik``.  Parameters whose variance path is not
+    positive and finite give ``-inf``.
     """
+    _, _, nll = _refilter(series, dummies, spec, phi, psi, omega, alpha, beta)
+    return -float(nll)
+
+
+def _refilter(series, dummies, spec, phi, psi, omega, alpha, beta):
+    """Build the design of a raw series, then run ``_garch_filter`` on it."""
     y = np.asarray(series, dtype=np.float64)
+    if y.size <= spec.max_lag:
+        raise DomainError("series shorter than the maximum lag")
     dmat = _dummy_matrix(dummies, spec.n_dummies, y.size)
     design, target = _design(y, dmat, spec.lag_set)
     mean = np.concatenate([np.asarray(phi, float), np.asarray(psi, float)])
-    eps = target - design @ mean
-    sigma2_init = max(float(np.var(eps)), 1e-300)
-    sigma2 = _garch_path(eps, omega, alpha, beta, sigma2_init)
-    return -0.5 * float(
-        np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps * eps / sigma2)
-    )
-
-
-def _filter_paths(fit, series, dummies):
-    y = np.asarray(series, dtype=np.float64)
-    max_lag = fit.spec.max_lag
-    if y.size <= max_lag:
-        raise DomainError("series shorter than the maximum lag")
-    dmat = _dummy_matrix(dummies, fit.spec.n_dummies, y.size)
-    design, target = _design(y, dmat, fit.spec.lag_set)
-    mean = np.concatenate([fit.phi, fit.psi])
-    eps = target - design @ mean
-    sigma2_init = max(float(np.var(eps)), 1e-300)
-    sigma2 = _garch_path(eps, fit.omega, fit.alpha, fit.beta, sigma2_init)
-    return eps / np.sqrt(sigma2), sigma2
+    return _garch_filter(design, target, mean, omega, alpha, beta)
 
 
 def filter_residuals(fit, series, dummies=None):
@@ -349,8 +357,10 @@ def filter_residuals(fit, series, dummies=None):
     Applying this to the fit's own training data reproduces
     ``fit.residuals`` exactly.
     """
-    eta, _ = _filter_paths(fit, series, dummies)
-    return eta
+    eps, sigma2, _ = _refilter(
+        series, dummies, fit.spec, fit.phi, fit.psi, fit.omega, fit.alpha, fit.beta
+    )
+    return eps / np.sqrt(sigma2)
 
 
 def pit_transform(residuals, mode="gaussian"):

@@ -326,25 +326,28 @@ def _variable_pairs(names):
     ]
 
 
-def aligned_pseudo_obs(panel):
-    """Marginal fits plus a date-aligned pseudo-observation matrix.
+def fit_hour(panel, config):
+    """Marginal fits of one panel and the vine fitted to their residuals.
 
     Variables lose their first ``max_lag`` rows to the autoregression;
-    columns are truncated to the largest loss so every row of the
-    returned matrix refers to the same date.
+    pseudo-observation columns are truncated to the largest loss so
+    every row the vine sees refers to the same date.  Returns
+    ``(fits, model)`` with the fits keyed by variable name.
     """
     dummies = build_dummies(panel.dates)
-    specs = {
-        name: MarginalSpec.for_variable(name) for name in panel.variable_names
-    }
+    specs = {name: MarginalSpec.for_variable(name) for name in panel.variable_names}
     common = max(spec.max_lag for spec in specs.values())
-    fits = {}
-    cols = []
-    for name in panel.variable_names:
-        fit = fit_ar_garch(panel.column(name), dummies, specs[name])
-        fits[name] = fit
-        cols.append(fit.pseudo_obs[common - specs[name].max_lag :])
-    return np.column_stack(cols), fits, common
+    fits = {
+        name: fit_ar_garch(panel.column(name), dummies, spec)
+        for name, spec in specs.items()
+    }
+    pseudo = np.column_stack(
+        [fits[name].pseudo_obs[common - spec.max_lag :] for name, spec in specs.items()]
+    )
+    model = vine.fit_auto(
+        pseudo, candidates=config.candidates, indep_test=config.indep_test
+    )
+    return fits, model
 
 
 def _scenario_patterns_for(config, names):
@@ -382,10 +385,7 @@ def _scenario_patterns_for(config, names):
 
 def analyze_hour(panel, config):
     """Fit one hour end-to-end and compute every dependence measure."""
-    pseudo, fits, _ = aligned_pseudo_obs(panel)
-    model = vine.fit_auto(
-        pseudo, candidates=config.candidates, indep_test=config.indep_test
-    )
+    fits, model = fit_hour(panel, config)
     names = panel.variable_names
     hour = panel.hour
     warnings = []
@@ -489,10 +489,7 @@ def _window_panel(panel, start, length):
 
 
 def _model_spearman_all_pairs(panel, config, seed_keys):
-    pseudo, _, _ = aligned_pseudo_obs(panel)
-    model = vine.fit_auto(
-        pseudo, candidates=config.candidates, indep_test=config.indep_test
-    )
+    _, model = fit_hour(panel, config)
     sample = vine.simulate(
         model, config.n_mc_rolling, seed=child_seed(config.seed, *seed_keys)
     )

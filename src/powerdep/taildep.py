@@ -6,6 +6,10 @@ W = F_X(X) of a conditioning vector X.  Its distribution function K
 event {W <= t}, which lets a single number summarise how the tail of a
 target variable Y reacts to joint extremes of several drivers:
 
+* ``empirical_kendall_fn`` returns K of a sample as a
+  ``KendallFunction``, the step CDF of the collapse values below.  The
+  tail measures build the same object from their one count of the
+  sample and read their thresholds off its ``inverse``.
 * ``q_lower_kendall`` / ``q_upper_kendall`` estimate the conditional
   tail probabilities of Y given that X falls in a lower/upper Kendall
   region of mass alpha.
@@ -54,54 +58,44 @@ RELIABILITY_FLOOR = 20
 # Default alpha grid for coefficient extrapolation, decreasing in (0, 0.1].
 DEFAULT_ALPHA_GRID = (0.10, 0.05, 0.02, 0.01)
 
-_KENDALL_SOURCES = ("empirical", "analytic-archimedean", "analytic-independence")
-
 
 class KendallFunction:
-    """Distribution function K(t) of the multivariate PIT W = F_X(X).
+    """Empirical distribution function K(t) of the multivariate PIT W = F_X(X).
 
-    Instances are built by :func:`empirical_kendall_fn` or
-    :func:`analytic_kendall_fn` and expose ``evaluate`` (the CDF) and
-    ``inverse`` (the generalized inverse, smallest t with K(t) >= q).
+    A right-continuous step CDF over the sorted collapse values
+    W_i = strict_counts[i] / m, built by :func:`empirical_kendall_fn`
+    and by the tail measures from one count of a sample.  ``evaluate``
+    is the CDF and ``inverse`` the generalized inverse, the smallest t
+    with K(t) >= q.
     """
 
-    def __init__(self, source, evaluate_fn, inverse_fn, n_obs=None, dim=None):
-        if source not in _KENDALL_SOURCES:
-            raise DomainError(f"unknown Kendall function source {source!r}")
-        self.source = source
-        self.n_obs = n_obs
+    def __init__(self, strict_counts, dim):
+        self.n_obs = strict_counts.shape[0]
         self.dim = dim
-        self._evaluate = evaluate_fn
-        self._inverse = inverse_fn
+        self._sorted_w = np.sort(strict_counts / self.n_obs)
 
     def evaluate(self, t):
         """K(t) for t in [0, 1]; scalar in, scalar out."""
-        arr = np.asarray(t, dtype=np.float64)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
-            raise DomainError("Kendall function argument must lie in [0, 1]")
-        out = self._evaluate(arr)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+        arr = _unit_interval(t, "Kendall function argument")
+        out = np.searchsorted(self._sorted_w, arr, side="right") / self.n_obs
+        return float(out) if arr.ndim == 0 else out
 
     def inverse(self, q):
-        """Smallest t with K(t) >= q, for q in [0, 1]."""
-        arr = np.asarray(q, dtype=np.float64)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
-            raise DomainError("Kendall quantile level must lie in [0, 1]")
-        out = self._inverse(arr)
-        if np.isscalar(q) or arr.ndim == 0:
-            return float(out)
-        return out
+        """Smallest t with K(t) >= q, for q in [0, 1]; scalar in, scalar out."""
+        arr = _unit_interval(q, "Kendall quantile level")
+        idx = np.ceil(arr * self.n_obs).astype(np.int64)
+        out = self._sorted_w[np.clip(idx - 1, 0, self.n_obs - 1)]
+        return float(out) if arr.ndim == 0 else out
 
     def __repr__(self):
-        return f"KendallFunction(source={self.source!r}, dim={self.dim})"
+        return f"KendallFunction(empirical, n_obs={self.n_obs}, dim={self.dim})"
 
 
-def _collapse_strict(x):
-    """Kendall collapse W_i = strict dominance count / m."""
-    x = np.asarray(x, dtype=np.float64)
-    return strict_dominance_counts(x) / x.shape[0]
+def _unit_interval(value, what):
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
+        raise DomainError(f"{what} must lie in [0, 1]")
+    return arr
 
 
 def empirical_kendall_fn(sample):
@@ -134,100 +128,7 @@ def empirical_kendall_fn(sample):
         raise DomainError("sample must be finite")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("sample values must lie strictly inside (0, 1)")
-
-    sorted_w = np.sort(_collapse_strict(arr))
-
-    def evaluate(t):
-        return np.searchsorted(sorted_w, t, side="right") / m
-
-    def inverse(q):
-        idx = np.ceil(np.asarray(q) * m).astype(np.int64)
-        idx = np.clip(idx - 1, 0, m - 1)
-        return sorted_w[idx]
-
-    return KendallFunction("empirical", evaluate, inverse, n_obs=m, dim=ell)
-
-
-def _independence_kendall(t, dim):
-    # K(t) = t * sum_{k<d} (-ln t)^k / k!, with K(0) = 0 taken as the limit.
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape)
-    pos = t > 0.0
-    tp = t[pos]
-    acc = np.zeros(tp.shape)
-    logs = -np.log(tp)
-    for k in range(dim):
-        acc += logs**k / math.factorial(k)
-    out[pos] = tp * acc
-    return np.minimum(out, 1.0)
-
-
-def _archimedean_kendall(t, family, theta):
-    # K(t) = t - phi(t)/phi'(t) for a strict generator phi.
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape)
-    pos = t > 0.0
-    tp = t[pos]
-    if family == "clayton":
-        out[pos] = tp * (1.0 + (1.0 - tp**theta) / theta)
-    else:  # gumbel
-        with np.errstate(invalid="ignore"):
-            out[pos] = tp - tp * np.log(tp) / theta
-    return np.clip(out, 0.0, 1.0)
-
-
-def _numeric_inverse(evaluate, q):
-    # Bisection for the generalized inverse of a nondecreasing CDF on [0,1].
-    q = np.asarray(q, dtype=np.float64)
-    lo = np.zeros(q.shape)
-    hi = np.ones(q.shape)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        ge = evaluate(mid) >= q
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    return hi
-
-
-def analytic_kendall_fn(family, theta=None, dim=2):
-    """Closed-form Kendall function, mainly an oracle for the empirical one.
-
-    Supported: ``independence`` (any dim >= 2, no parameter),
-    ``clayton`` (theta > 0) and ``gumbel`` (theta >= 1), both dim 2.
-    """
-    name = str(family).lower()
-    if name == "independence":
-        if dim < 2:
-            raise DomainError("independence Kendall function needs dim >= 2")
-        if theta is not None:
-            raise DomainError("independence takes no parameter")
-
-        def evaluate(t, _d=int(dim)):
-            return _independence_kendall(t, _d)
-
-        source = "analytic-independence"
-    elif name in ("clayton", "gumbel"):
-        if dim != 2:
-            raise DomainError(f"{name} Kendall function is available for dim 2 only")
-        if theta is None:
-            raise DomainError(f"{name} needs a parameter")
-        theta = float(theta)
-        if name == "clayton" and theta <= 0.0:
-            raise DomainError("clayton parameter must be positive")
-        if name == "gumbel" and theta < 1.0:
-            raise DomainError("gumbel parameter must be at least 1")
-
-        def evaluate(t, _f=name, _th=theta):
-            return _archimedean_kendall(t, _f, _th)
-
-        source = "analytic-archimedean"
-    else:
-        raise DomainError(f"no analytic Kendall function for family {family!r}")
-
-    def inverse(q):
-        return _numeric_inverse(evaluate, q)
-
-    return KendallFunction(source, evaluate, inverse, dim=int(dim))
+    return KendallFunction(strict_dominance_counts(arr), ell)
 
 
 def multivariate_pit(rows, reference):
@@ -322,10 +223,9 @@ class _Collapsed:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         m = x.shape[0]
-        self.m = m
         strict = strict_dominance_counts(x)
-        # Kendall collapse (strict) and its order statistics for quantiles.
-        self.sorted_w = np.sort(strict / m)
+        # Kendall collapse (strict); its inverse gives the thresholds.
+        self.kendall = KendallFunction(strict, x.shape[1])
         # Conditioning values: empirical joint CDF (weak, self included);
         # without ties the weak count is the strict count plus the row itself.
         weak = weak_dominance_counts(x) if has_column_ties(x) else strict + 1
@@ -334,16 +234,12 @@ class _Collapsed:
         order = np.sort(y)
         self.u_y = np.searchsorted(order, y, side="right") / m
 
-    def kendall_quantile(self, q):
-        idx = min(max(int(np.ceil(q * self.m)) - 1, 0), self.m - 1)
-        return self.sorted_w[idx]
-
     def one_sided(self, alpha, beta, side):
         if side == "lower":
-            cond = self.v <= self.kendall_quantile(alpha)
+            cond = self.v <= self.kendall.inverse(alpha)
             hit = self.u_y <= beta
         else:
-            cond = self.v >= self.kendall_quantile(1.0 - alpha)
+            cond = self.v >= self.kendall.inverse(1.0 - alpha)
             hit = self.u_y > 1.0 - beta
         n_cond = int(np.count_nonzero(cond))
         if n_cond == 0:
@@ -406,7 +302,12 @@ def q_upper_kendall(sample, alpha, beta):
 
 @dataclass(frozen=True)
 class LambdaKendallResult:
-    """Grid diagnostics and extrapolation for a tail coefficient."""
+    """Grid diagnostics and extrapolation for a tail coefficient.
+
+    An alpha level whose conditioning set is empty holds NaN as its value
+    and stderr; the JSON form writes ``null`` there, so a bundle stays
+    strict JSON.
+    """
 
     side: str
     alphas: tuple
@@ -422,14 +323,17 @@ class LambdaKendallResult:
         return {
             "side": self.side,
             "alphas": list(self.alphas),
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
+            "values": self._defined(self.values),
+            "stderrs": self._defined(self.stderrs),
             "n_conditioning": list(self.n_conditioning),
             "reliable": list(self.reliable),
             "extrapolated": self.extrapolated,
             "point_estimate": self.point_estimate,
             "smallest_reliable_alpha": self.smallest_reliable_alpha,
         }
+
+    def _defined(self, column):
+        return [None if n == 0 else x for x, n in zip(column, self.n_conditioning)]
 
 
 def lambda_kendall(sample, alpha_grid=DEFAULT_ALPHA_GRID):

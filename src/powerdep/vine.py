@@ -201,9 +201,6 @@ class VineModel:
     n_obs: int
     loglik: float
 
-    def copula_for(self, edge):
-        return self.pair_copulas[edge]
-
     def to_json_dict(self):
         trees = []
         for tree in self.structure.trees:
@@ -406,15 +403,6 @@ def _run_vine(u, candidates, structure=None, indep_level=INDEP_TEST_LEVEL):
         n_obs=u.shape[0],
         loglik=loglik,
     )
-
-
-def select_structure(pseudo_obs, indep_test=INDEP_TEST_LEVEL):
-    """Greedy maximum-spanning-tree structure under |Kendall tau| weights.
-
-    Deterministic: AIC fits along the way use the default candidate set,
-    and weight ties break lexicographically by edge label.
-    """
-    return fit_auto(pseudo_obs, indep_test=indep_test).structure
 
 
 def fit(pseudo_obs, structure, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LEVEL):

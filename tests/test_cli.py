@@ -205,8 +205,7 @@ class TestClaytonGenerator:
             420, seed=6, flavor="clayton", hours=(3,)
         )
         panel = slice_hour(records, 3)
-        pseudo, _, _ = pipeline.aligned_pseudo_obs(panel)
-        model = vine.fit_auto(pseudo)
+        _, model = pipeline.fit_hour(panel, pipeline.AnalysisConfig())
         u = vine.simulate(model, 200_000, seed=77)
         price_given_demand = np.column_stack([u[:, 1], u[:, 0]])
         lam = taildep.lambda_kendall(price_given_demand)
@@ -337,6 +336,22 @@ class TestSimulate:
         assert code == 1
         assert err["code"] == "config"
         assert "nope.json" in err["location"]
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json"], ids=["missing", "malformed"]
+    )
+    def test_unreadable_model_file_is_a_config_error_at_its_path(
+        self, content, tmp_path, capsys
+    ):
+        model = tmp_path / "model.json"
+        if content is not None:
+            model.write_text(content)
+        code, _, err = invoke(
+            ["simulate", "--model", str(model), "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert err["code"] == "config"
+        assert err["location"] == str(model)
 
 
 class TestCliContract:

@@ -100,6 +100,14 @@ class TestFit:
         )
         assert_allclose(ll, fit.loglik, rtol=1e-12)
 
+    @pytest.mark.parametrize("length", [0, 5, 7])
+    def test_loglik_rejects_series_not_longer_than_max_lag(self, length):
+        # the filter needs at least one row after the max_lag lagged rows
+        spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=0)
+        y = make_series((0.3, 0.1, 0.05, 0.85), 400, seed=2, spec=spec)[:length]
+        with pytest.raises(DomainError, match="shorter than the maximum lag"):
+            ar_garch_loglik(y, None, spec, [0.3, 0.1, 0.05], [], 0.1, 0.05, 0.85)
+
     def test_residual_length_and_pseudo_obs_range(self):
         spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=0)
         y = make_series((0.3, 0.1, 0.05, 0.85), 1200, seed=2, spec=spec)
@@ -264,6 +272,8 @@ class TestSerialization:
         blob = json.dumps(fit.to_json_dict(), sort_keys=True)
         back = MarginalFit.from_json_dict(json.loads(blob), series=y, dummies=dmat)
         assert np.array_equal(back.residuals, fit.residuals)
+        assert np.array_equal(back.sigma2_path, fit.sigma2_path)
+        assert np.array_equal(back.pseudo_obs, fit.pseudo_obs)
         assert np.array_equal(back.phi, fit.phi)
         assert back.omega == fit.omega
         assert back.alpha == fit.alpha

@@ -487,6 +487,42 @@ class TestReportBundle:
         assert len(rolling_rows) == 3 * 6
         assert all(row[8] for row in rolling_rows)
 
+    def test_empty_lambda_levels_are_null_in_strict_json(self, tmp_path, panels):
+        # this small quad hour leaves lambda_K levels with an empty
+        # conditioning set: NaN in memory, null in the bundle
+        config = small_config(
+            hours=(12,),
+            n_mc_spearman=10_000,
+            n_mc_tdc=2_000,
+            n_mc_lambda=2_000,
+            n_mc_scenario=1_000,
+        )
+        result = pipeline.run_global({12: panels[12]}, config)
+        paths = pipeline.write_report_bundle(tmp_path, config, result)
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        bundle = {
+            name: json.loads(open(path).read(), parse_constant=reject)
+            for name, path in paths.items()
+            if name.endswith(".json")
+        }
+        lam = result.results[0].lambda_k
+        empty = [
+            (side, i)
+            for side, res in lam.items()
+            for i, n in enumerate(res.n_conditioning)
+            if n == 0
+        ]
+        assert empty
+        for side, i in empty:
+            assert math.isnan(lam[side].values[i])
+            assert math.isnan(lam[side].stderrs[i])
+            written = bundle["hour_12.json"]["lambda_k"][side]
+            assert written["values"][i] is None
+            assert written["stderrs"][i] is None
+
     def test_rerun_of_analysis_is_bit_identical(self, tmp_path, panels, global_result):
         res2 = pipeline.run_global(panels, small_config())
         a, b = tmp_path / "a", tmp_path / "b"

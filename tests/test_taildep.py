@@ -11,9 +11,7 @@ from powerdep.bicop import BivariateCopula
 from powerdep.counting import has_column_ties, strict_dominance_counts
 from powerdep.errors import DomainError, ResolutionError
 from powerdep.taildep import (
-    KendallFunction,
     ScenarioPattern,
-    analytic_kendall_fn,
     empirical_kendall_fn,
     lambda_kendall,
     multivariate_pit,
@@ -23,6 +21,8 @@ from powerdep.taildep import (
     tail_concentration,
 )
 from powerdep.vine import VineEdge, VineModel, VineStructure
+
+from kendall_oracle import analytic_kendall_fn
 
 GRID_99 = np.linspace(0.01, 0.99, 99)
 
@@ -157,15 +157,6 @@ class TestAnalyticKendall:
         with pytest.raises(DomainError):
             analytic_kendall_fn("independence", dim=1)
 
-    def test_evaluate_rejects_outside_unit_interval(self):
-        fn = analytic_kendall_fn("independence")
-        with pytest.raises(DomainError):
-            fn.evaluate(1.5)
-        with pytest.raises(DomainError):
-            fn.evaluate(-0.1)
-        with pytest.raises(DomainError):
-            fn.inverse(1.2)
-
 
 class TestEmpiricalKendall:
     def test_comonotone_matches_diagonal(self):
@@ -226,7 +217,6 @@ class TestEmpiricalKendall:
 
     def test_metadata_fields(self):
         fn = empirical_kendall_fn(uniform_sample(250, 3, seed=1))
-        assert fn.source == "empirical"
         assert fn.n_obs == 250
         assert fn.dim == 3
         assert "empirical" in repr(fn)
@@ -248,9 +238,14 @@ class TestEmpiricalKendall:
         with pytest.raises(DomainError):
             empirical_kendall_fn(np.zeros(300))
 
-    def test_unknown_source_rejected(self):
+    def test_evaluate_rejects_outside_unit_interval(self):
+        fn = empirical_kendall_fn(uniform_sample(300, 2, seed=0))
         with pytest.raises(DomainError):
-            KendallFunction("made-up", lambda t: t, lambda q: q)
+            fn.evaluate(1.5)
+        with pytest.raises(DomainError):
+            fn.evaluate(-0.1)
+        with pytest.raises(DomainError):
+            fn.inverse(1.2)
 
 
 class TestMultivariatePit:

@@ -217,7 +217,7 @@ class TestSelectStructure:
             [np.sin(0.5 * np.pi / 2), np.sin(0.15 * np.pi / 2), 1.0],
         ]
         u = gaussian_sample(corr, 1500, seed=21)
-        structure = vine.select_structure(u)
+        structure = vine.fit_auto(u).structure
         assert structure.trees[0] == (VineEdge((0, 1)), VineEdge((0, 2)))
         assert structure.trees[0] == exhaustive_tree1(u)
 
@@ -229,13 +229,13 @@ class TestSelectStructure:
         d = np.sqrt(np.diag(corr))
         corr = corr / np.outer(d, d)
         u = gaussian_sample(corr, 800, seed=seed + 1)
-        structure = vine.select_structure(u)
+        structure = vine.fit_auto(u).structure
         assert structure.trees[0] == exhaustive_tree1(u)
 
     def test_exact_tie_breaks_lexicographically(self):
         base = np.linspace(0.01, 0.99, 400)
         u = np.column_stack([base, base, base])
-        structure = vine.select_structure(u)
+        structure = vine.fit_auto(u).structure
         assert structure.trees[0] == (VineEdge((0, 1)), VineEdge((0, 2)))
 
     def test_noisy_copy_pair_joined_in_tree1(self):
@@ -247,29 +247,29 @@ class TestSelectStructure:
         u = np.column_stack(
             [stats.rankdata(raw[:, j]) / (raw.shape[0] + 1.0) for j in range(4)]
         )
-        structure = vine.select_structure(u)
+        structure = vine.fit_auto(u).structure
         assert VineEdge((0, 1)) in structure.trees[0]
 
     def test_row_permutation_invariance(self):
         u = gaussian_sample(RHO_3D, 700, seed=9)
         perm = np.random.default_rng(1).permutation(u.shape[0])
-        assert vine.select_structure(u) == vine.select_structure(u[perm])
+        assert vine.fit_auto(u).structure == vine.fit_auto(u[perm]).structure
 
     def test_determinism(self):
         u = gaussian_sample(RHO_3D, 500, seed=15)
-        assert vine.select_structure(u) == vine.select_structure(u)
+        assert vine.fit_auto(u).structure == vine.fit_auto(u).structure
 
     def test_degenerate_column_rejected(self):
         u = gaussian_sample(RHO_3D, 300, seed=2)
         u[:, 1] = 0.5
         with pytest.raises(DegenerateSeriesError):
-            vine.select_structure(u)
+            vine.fit_auto(u).structure
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            vine.select_structure(np.random.default_rng(0).random((99, 3)))
+            vine.fit_auto(np.random.default_rng(0).random((99, 3))).structure
         with pytest.raises(DomainError):
-            vine.select_structure(np.random.default_rng(0).random((200, 5)))
+            vine.fit_auto(np.random.default_rng(0).random((200, 5))).structure
 
 
 class TestFit:
