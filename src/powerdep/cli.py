@@ -40,7 +40,7 @@ from .data_ingest import (
     slice_hour,
 )
 from .errors import ConfigError, PowerdepError
-from .marginals import MarginalSpec, build_fit_from_params, fit_ar_garch, simulate_ar_garch
+from .marginals import MarginalSpec, build_fit_from_params, simulate_ar_garch
 from .pipeline import AnalysisConfig, GlobalRunResult, child_seed
 from .vine import VineEdge, VineModel, VineStructure
 
@@ -325,21 +325,32 @@ def _force(args, cfg):
 def _parse_hours_value(value):
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return tuple(int(h) for h in value)
-    hours = tuple(int(tok) for tok in str(value).split(",") if tok.strip() != "")
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(int(h) for h in value)
+        hours = tuple(int(tok) for tok in str(value).split(",") if tok.strip() != "")
+    except (TypeError, ValueError):
+        hours = ()
     if not hours:
         raise ConfigError(f"cannot parse hours from {value!r}")
     return hours
 
 
-def _analysis_config(cfg, **overrides):
-    """The config file's ``AnalysisConfig`` fields, then non-None overrides."""
+def _analysis_config(args, cfg, **overrides):
+    """The config file's ``AnalysisConfig`` fields, then non-None overrides.
+
+    An invalid value is reported at the config file when one is given.
+    """
     kwargs = {k: v for k, v in cfg.items() if k in AnalysisConfig.__dataclass_fields__}
     kwargs.update((k, v) for k, v in overrides.items() if v is not None)
-    if "hours" in kwargs:
-        kwargs["hours"] = _parse_hours_value(kwargs["hours"])
-    return AnalysisConfig.from_json_dict(kwargs)
+    try:
+        if "hours" in kwargs:
+            kwargs["hours"] = _parse_hours_value(kwargs["hours"])
+        return AnalysisConfig.from_json_dict(kwargs)
+    except ConfigError as exc:
+        if exc.location is None:
+            exc.location = args.config
+        raise
 
 
 def _load_records(args, cfg):
@@ -427,11 +438,7 @@ def _cmd_ingest(args, cfg, out):
 
 def _cmd_fit_marginals(args, cfg, out):
     panel, _ = _load_panel(args, cfg)
-    dummies = build_dummies(panel.dates)
-    fits = {}
-    for name in panel.variable_names:
-        spec = MarginalSpec.for_variable(name)
-        fits[name] = fit_ar_garch(panel.column(name), dummies, spec).to_json_dict()
+    fits = {k: v.to_json_dict() for k, v in pipeline.fit_marginals(panel).items()}
     report = pipeline._json_bytes({"hour": panel.hour, "marginals": fits})
     name = f"marginals_hour_{panel.hour:02d}.json"
     return _publish(args, cfg, out, {"marginals": (name, report)})
@@ -439,7 +446,7 @@ def _cmd_fit_marginals(args, cfg, out):
 
 def _cmd_fit_vine(args, cfg, out):
     panel, _ = _load_panel(args, cfg)
-    config = _analysis_config(cfg, hours=(panel.hour,), seed=args.seed)
+    config = _analysis_config(args, cfg, hours=(panel.hour,), seed=args.seed)
     fits, model = pipeline.fit_hour(panel, config)
     report = {
         "hour": panel.hour,
@@ -454,6 +461,7 @@ def _cmd_fit_vine(args, cfg, out):
 def _run_hour_analysis(args, cfg, scenario_override):
     panel, _ = _load_panel(args, cfg)
     config = _analysis_config(
+        args,
         cfg,
         hours=(panel.hour,),
         seed=args.seed,
@@ -501,8 +509,9 @@ def _cmd_scenarios(args, cfg, out):
 def _cmd_roll(args, cfg, out):
     records, _ = _load_records(args, cfg)
     config = _analysis_config(
+        args,
         cfg,
-        hours=_parse_hours_value(_get(args, cfg, "hours", None)),
+        hours=args.hours,
         seed=args.seed,
         window_days=args.window,
         step_days=args.step,
@@ -527,7 +536,12 @@ def _cmd_simulate(args, cfg, out):
     if model_path is None:
         raise ConfigError("a --model vine JSON path is required")
     data = _load_json_file(model_path, "model")
-    model = VineModel.from_json_dict(data.get("vine", data))
+    try:
+        model = VineModel.from_json_dict(data.get("vine", data))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ConfigError(
+            "model file does not hold a vine model", location=model_path
+        ) from None
     n = int(_get(args, cfg, "n", 10_000))
     seed = int(_get(args, cfg, "seed", 0))
     u = vine.simulate(model, n, seed=seed)

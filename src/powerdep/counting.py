@@ -1,17 +1,15 @@
 """Componentwise dominance counting on multivariate samples.
 
 These counters back the empirical Kendall function and the tail
-conditioning estimators.  Strict counts take O(m log^2 m) for two
-columns, through a bottom-up merge pass, and O(m log^3 m) for three,
-through Bentley's (1980) divide-and-conquer over column 0 with one merge
-pass per level.  Inputs with column ties, four or more columns and
-``cross_weak_counts`` take an exact chunked O(m^2) scan that prunes on
-the first coordinate.
+conditioning estimators.  Strict counts come from one recursive kernel,
+Bentley's (1980) divide-and-conquer: each level counts within segments
+of rows sorted by column 0 by a call on one column fewer, and one column
+is a rank.  It takes O(m log^d m) for d >= 2 columns and is exact for
+any input, ties included, because every value is keyed by an integer
+rank, so neighbouring doubles stay distinct however close they are.
 
-Counts are exact.  The merge pass keys each value by its exact rank
-(integers in float64), so neighbouring doubles stay distinct however
-close they are.  The fast paths require tie-free columns (the continuous
-samples produced elsewhere in the package never tie).
+Weak counts of inputs with column ties and ``cross_weak_counts`` take an
+exact chunked O(m^2) scan that prunes on the first coordinate.
 """
 
 from __future__ import annotations
@@ -43,57 +41,39 @@ def has_column_ties(points):
     return False
 
 
-def _prior_smaller_counts(values):
-    # counts[p] = #{q < p : values[q] < values[p]} for a tie-free 1-d array,
-    # via bottom-up merge counting with per-block key offsets so that one
-    # global searchsorted serves every block at each level.
-    n = values.size
-    if n < 2:
-        return np.zeros(n, dtype=np.int64)
-    # exact integer keys: ranks in [0, n), padding n, block offsets
-    # (n + 1) * block, all far below 2**53
-    size = 1 << int(n - 1).bit_length()
-    buf = np.full(size, float(n))
-    buf[np.argsort(values)] = np.arange(n)
-    idx = np.arange(size)
-    counts = np.zeros(size, dtype=np.int64)
-    width = 1
-    while width < size:
-        nblocks = size // (2 * width)
-        block_vals = buf.reshape(nblocks, 2 * width)
-        block_idx = idx.reshape(nblocks, 2 * width)
-        offsets = (n + 1.0) * np.arange(nblocks)
-        left_keys = (block_vals[:, :width] + offsets[:, None]).ravel()
-        right_keys = (block_vals[:, width:] + offsets[:, None]).ravel()
-        pos = np.searchsorted(left_keys, right_keys, side="left")
-        pos = pos - np.repeat(np.arange(nblocks) * width, width)
-        counts[block_idx[:, width:].ravel()] += pos
-        order = np.argsort(block_vals, axis=1, kind="stable")
-        buf = np.take_along_axis(block_vals, order, axis=1).ravel()
-        idx = np.take_along_axis(block_idx, order, axis=1).ravel()
-        width *= 2
-    return counts[:n]
-
-
-def _strict_2d(points):
-    order = np.argsort(points[:, 0], kind="stable")
-    partial = _prior_smaller_counts(points[order, 1])
-    counts = np.empty(points.shape[0], dtype=np.int64)
-    counts[order] = partial
+def _smaller_counts(values):
+    # counts[i] = #{j : values[j] < values[i]}: the sorted position of the
+    # first entry in each run of equal values, so exact with ties and
+    # indifferent to how the sort orders them
+    order = np.argsort(values)
+    srt = values[order]
+    starts = np.arange(srt.size)
+    tied = np.flatnonzero(srt[1:] == srt[:-1]) + 1
+    if tied.size:
+        starts[tied] = 0
+        starts = np.maximum.accumulate(starts)
+    counts = np.empty(srt.size, dtype=np.int64)
+    counts[order] = starts
     return counts
 
 
-def _strict_3d(points):
-    # Bentley's offline dominance count over rows sorted by column 0: at
-    # each level w a row in the right half of its size-2w segment gains the
-    # left-half rows below it in columns 1 and 2, S_2w - S_w, where S_s
-    # counts those rows within the row's size-s segment by one 2-D merge
-    # pass over the rows ordered by (segment, rank in column 1).
-    m = points.shape[0]
-    order = np.argsort(points[:, 0], kind="stable")
-    pts = points[order]
-    rank1 = np.argsort(np.argsort(pts[:, 1]))
-    rank2 = np.argsort(np.argsort(pts[:, 2]))
+def _strict_counts(points):
+    # Bentley's (1980) offline dominance count, one recursion for every
+    # column count.  Rows are sorted by column 0, ties broken by column 1
+    # descending, so no earlier row that ties a row in column 0 is below it
+    # in column 1 (rows tied in both are below neither, in either order).
+    # At each level w a row in the right half of its size-2w segment gains
+    # the left-half rows strictly below it in the other columns,
+    # S_2w - S_w, where S_s counts those rows within the row's size-s
+    # segment by one count on d - 1 columns: offsetting every rank by
+    # segment * m puts the seg * s rows of earlier segments below all
+    # others and those of later segments above.  Keys stay below m^2 + m.
+    m, d = points.shape
+    if d == 1:
+        return _smaller_counts(points[:, 0])
+    ranks = np.column_stack([_smaller_counts(points[:, c]) for c in range(d)])
+    order = np.argsort(ranks[:, 0] * m + (m - 1 - ranks[:, 1]))
+    rest = ranks[order, 1:]
     pos = np.arange(m)
     partial = np.zeros(m, dtype=np.int64)
     inner = np.zeros(m, dtype=np.int64)
@@ -101,15 +81,7 @@ def _strict_3d(points):
     while width < m:
         size = 2 * width
         seg = pos // size
-        by_rank1 = np.argsort(seg * m + rank1)
-        seg_sorted = seg[by_rank1]
-        outer = np.empty(m, dtype=np.int64)
-        # the seg * size rows of earlier segments come first, all with
-        # smaller keys
-        outer[by_rank1] = (
-            _prior_smaller_counts(seg_sorted * m + rank2[by_rank1])
-            - seg_sorted * size
-        )
+        outer = _strict_counts(rest + (seg * m)[:, None]) - seg * size
         right = pos % size >= width
         partial[right] += outer[right] - inner[right]
         inner = outer
@@ -161,18 +133,10 @@ def strict_dominance_counts(points):
 
     Notes
     -----
-    Tie-free inputs take O(m log^2 m) for two columns and O(m log^3 m)
-    for three; column ties and four or more columns take the exact
-    O(m^2) scan.
+    One recursive kernel serves every column count, in O(m log m) for one
+    column and O(m log^d m) for d >= 2, exact with column ties.
     """
-    pts = _as_points(points)
-    m, d = pts.shape
-    if d == 1:
-        order = np.sort(pts[:, 0])
-        return np.searchsorted(order, pts[:, 0], side="left").astype(np.int64)
-    if d in (2, 3) and not has_column_ties(pts):
-        return _strict_2d(pts) if d == 2 else _strict_3d(pts)
-    return _brute_counts(pts, pts, strict=True)
+    return _strict_counts(_as_points(points))
 
 
 def weak_dominance_counts(points):

@@ -215,16 +215,29 @@ class AnalysisConfig:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Config from a JSON object; a wrong-typed value is a ``ConfigError``.
+
+        A string or a scalar where a list belongs is rejected rather than
+        split into characters.
+        """
         kwargs = dict(data)
-        for key in ("hours", "alpha_grid", "tdc_grid", "scenarios"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "candidates" in kwargs:
-            kwargs["candidates"] = tuple(tuple(c) for c in kwargs["candidates"])
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        for key in ("hours", "alpha_grid", "tdc_grid", "scenarios", "candidates"):
+            if key in kwargs and not isinstance(kwargs[key], (list, tuple)):
+                raise ConfigError(
+                    f"{key} must be a list, not {type(kwargs[key]).__name__}"
+                )
+        try:
+            for key in ("hours", "alpha_grid", "tdc_grid", "scenarios"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
+            if "candidates" in kwargs:
+                kwargs["candidates"] = tuple(tuple(c) for c in kwargs["candidates"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config value of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -326,6 +339,15 @@ def _variable_pairs(names):
     ]
 
 
+def fit_marginals(panel):
+    """AR-GARCH fit of every variable of one panel, keyed by variable name."""
+    dummies = build_dummies(panel.dates)
+    return {
+        name: fit_ar_garch(panel.column(name), dummies, MarginalSpec.for_variable(name))
+        for name in panel.variable_names
+    }
+
+
 def fit_hour(panel, config):
     """Marginal fits of one panel and the vine fitted to their residuals.
 
@@ -334,15 +356,10 @@ def fit_hour(panel, config):
     every row the vine sees refers to the same date.  Returns
     ``(fits, model)`` with the fits keyed by variable name.
     """
-    dummies = build_dummies(panel.dates)
-    specs = {name: MarginalSpec.for_variable(name) for name in panel.variable_names}
-    common = max(spec.max_lag for spec in specs.values())
-    fits = {
-        name: fit_ar_garch(panel.column(name), dummies, spec)
-        for name, spec in specs.items()
-    }
+    fits = fit_marginals(panel)
+    common = max(fit.spec.max_lag for fit in fits.values())
     pseudo = np.column_stack(
-        [fits[name].pseudo_obs[common - spec.max_lag :] for name, spec in specs.items()]
+        [fit.pseudo_obs[common - fit.spec.max_lag :] for fit in fits.values()]
     )
     model = vine.fit_auto(
         pseudo, candidates=config.candidates, indep_test=config.indep_test

@@ -338,7 +338,9 @@ class TestSimulate:
         assert "nope.json" in err["location"]
 
     @pytest.mark.parametrize(
-        "content", [None, "{not json"], ids=["missing", "malformed"]
+        "content",
+        [None, "{not json", "[1, 2]", '{"trees": 3}', "{}"],
+        ids=["missing", "malformed", "list", "scalar-trees", "empty"],
     )
     def test_unreadable_model_file_is_a_config_error_at_its_path(
         self, content, tmp_path, capsys
@@ -441,6 +443,33 @@ class TestCliContract:
         )
         assert code == 1
         assert err["code"] == "config"
+
+    @pytest.mark.parametrize("verb", ["fit-vine", "tail"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"alpha_grid": 0.05},
+            {"n_mc_tdc": "many"},
+            {"scenarios": "HLL"},
+            {"alpha_grid": "0.05"},
+        ],
+        ids=["scalar-grid", "string-size", "string-scenarios", "string-grid"],
+    )
+    def test_wrong_typed_config_value_is_a_config_error_at_the_file(
+        self, verb, content, data_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        code, _, err = invoke(
+            [verb, "--data", data_csv, "--hour", "3", "--config", str(cfg),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err["code"] == "config"
+        assert err["location"] == str(cfg)
+        assert not out.exists() or not any(out.iterdir())
 
     def test_generator_rejects_bad_hours(self):
         with pytest.raises(ConfigError):

@@ -22,18 +22,21 @@ def brute_weak(points):
 @st.composite
 def point_clouds(draw):
     m = draw(st.integers(min_value=1, max_value=200))
-    d = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     pts = rng.random((m, d))
-    variant = draw(st.sampled_from(("plain", "ties", "neighbours")))
+    variant = draw(st.sampled_from(("plain", "ties", "neighbours", "duplicates")))
+    half = m // 2
     if variant == "ties":
         # coarse rounding forces ties in every column
         pts = np.round(pts, 1)
     elif variant == "neighbours":
         # adjacent doubles: distinct values one unit in the last place apart
-        half = m // 2
         pts[half:] = np.nextafter(pts[: m - half], 1.0)
+    elif variant == "duplicates":
+        # the second half repeats the first half row for row
+        pts[half:] = pts[: m - half]
     return pts
 
 
@@ -143,6 +146,23 @@ def test_tie_free_three_columns_never_reach_the_brute_path(monkeypatch):
     strict = counting.strict_dominance_counts(pts)
     assert np.array_equal(strict, expected)
     assert np.array_equal(counting.weak_dominance_counts(pts), strict + 1)
+
+
+@pytest.mark.parametrize(
+    "d, decimals", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (4, None)]
+)
+def test_strict_counts_never_reach_the_brute_path(monkeypatch, d, decimals):
+    pts = np.random.default_rng(8).random((300, d))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    assert counting.has_column_ties(pts) == (decimals is not None)
+    expected = brute_strict(pts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strict counts reached _brute_counts")
+
+    monkeypatch.setattr(counting, "_brute_counts", refuse)
+    assert np.array_equal(counting.strict_dominance_counts(pts), expected)
 
 
 def test_tied_three_columns_take_the_brute_path(monkeypatch):
