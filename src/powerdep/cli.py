@@ -318,6 +318,22 @@ def _get(args, cfg, key, default):
     return default
 
 
+def _get_as(args, cfg, key, default, convert):
+    """``_get`` passed through ``convert``; a value it rejects is a config error.
+
+    A rejected config-file value is reported at the config file.
+    """
+    value = _get(args, cfg, key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        from_file = getattr(args, key, None) is None
+        raise ConfigError(
+            f"cannot read {key} from {value!r}",
+            location=args.config if from_file else None,
+        ) from None
+
+
 def _force(args, cfg):
     return bool(args.force or cfg.get("force", False))
 
@@ -376,18 +392,21 @@ def _load_records(args, cfg):
 
 
 def _load_panel(args, cfg):
-    hour = _get(args, cfg, "hour", None)
-    if hour is None:
+    if _get(args, cfg, "hour", None) is None:
         raise ConfigError("an --hour in 0..23 is required")
+    hour = _get_as(args, cfg, "hour", None, int)
     records, log = _load_records(args, cfg)
-    return slice_hour(records, int(hour)), log
+    return slice_hour(records, hour), log
 
 
 def _publish(args, cfg, out, artifacts):
     """Write ``{artifact key: (file name, text)}`` and print the artifact map."""
-    paths = pipeline.write_artifacts(
-        out, dict(artifacts.values()), _force(args, cfg)
-    )
+    try:
+        paths = pipeline.write_artifacts(
+            out, dict(artifacts.values()), _force(args, cfg)
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts: {exc}", location=out) from None
     keyed = {key: paths[name] for key, (name, _) in artifacts.items()}
     print(pipeline._json_bytes({"artifacts": keyed}), end="")
     return 0
@@ -399,10 +418,13 @@ def _publish(args, cfg, out, artifacts):
 
 
 def _cmd_synth(args, cfg, out):
-    days = int(_get(args, cfg, "days", 800))
-    seed = int(_get(args, cfg, "seed", 0))
+    days = _get_as(args, cfg, "days", 800, int)
+    seed = _get_as(args, cfg, "seed", 0, int)
     flavor = str(_get(args, cfg, "flavor", "gaussian"))
-    start = datetime.date.fromisoformat(str(_get(args, cfg, "start", "2015-01-01")))
+    start = _get_as(
+        args, cfg, "start", "2015-01-01",
+        lambda value: datetime.date.fromisoformat(str(value)),
+    )
     hours = _parse_hours_value(_get(args, cfg, "hours", None))
     records = generate_synthetic_records(days, seed, flavor, start, hours)
     meta = _synth_meta(days, seed, flavor, start, hours or tuple(range(24)))
@@ -542,8 +564,8 @@ def _cmd_simulate(args, cfg, out):
         raise ConfigError(
             "model file does not hold a vine model", location=model_path
         ) from None
-    n = int(_get(args, cfg, "n", 10_000))
-    seed = int(_get(args, cfg, "seed", 0))
+    n = _get_as(args, cfg, "n", 10_000, int)
+    seed = _get_as(args, cfg, "seed", 0, int)
     u = vine.simulate(model, n, seed=seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,23 +1,25 @@
 """Componentwise dominance counting on multivariate samples.
 
 These counters back the empirical Kendall function and the tail
-conditioning estimators.  Strict counts come from one recursive kernel,
-Bentley's (1980) divide-and-conquer: each level counts within segments
-of rows sorted by column 0 by a call on one column fewer, and one column
-is a rank.  It takes O(m log^d m) for d >= 2 columns and is exact for
-any input, ties included, because every value is keyed by an integer
-rank, so neighbouring doubles stay distinct however close they are.
+conditioning estimators.  Every count comes from one recursive kernel,
+Bentley's (1980) divide-and-conquer for strict counts: each level counts
+within segments of rows sorted by column 0 by a call on one column
+fewer, and one column is a rank.  It takes O(m log^d m) for d >= 2
+columns and is exact for any input, ties included, because every value
+is keyed by an integer rank, so neighbouring doubles stay distinct
+however close they are.
 
-Weak counts of inputs with column ties and ``cross_weak_counts`` take an
-exact chunked O(m^2) scan that prunes on the first coordinate.
+Weak counts are strict counts on a labelled union: rank the reference
+and query rows together, key a reference value 2r and a query value
+2r + 1, and a query row is strictly above the reference rows weakly
+below it and the query rows strictly below it.  Subtracting the strict
+count among the queries leaves the weak count, in O(n log^d n) for the
+n reference and query rows together.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# upper bound on the number of cells materialised per brute-force chunk
-_CHUNK_CELLS = 40_000_000
 
 
 def _as_points(points):
@@ -91,33 +93,6 @@ def _strict_counts(points):
     return counts
 
 
-def _brute_counts(points, queries, strict):
-    # counts, for each query row, the reference rows componentwise below it;
-    # strict=True uses < on every coordinate, strict=False uses <=.
-    n = points.shape[0]
-    nq = queries.shape[0]
-    order = np.argsort(points[:, 0], kind="stable")
-    ref = points[order]
-    side = "left" if strict else "right"
-    prefix = np.searchsorted(ref[:, 0], queries[:, 0], side=side)
-    counts = np.zeros(nq, dtype=np.int64)
-    chunk = max(1, int(_CHUNK_CELLS // max(1, n)))
-    for a in range(0, nq, chunk):
-        b = min(nq, a + chunk)
-        pre = prefix[a:b]
-        top = int(pre.max()) if b > a else 0
-        if top == 0:
-            continue
-        mask = np.arange(top)[None, :] < pre[:, None]
-        for col in range(1, points.shape[1]):
-            if strict:
-                mask &= ref[:top, col][None, :] < queries[a:b, col][:, None]
-            else:
-                mask &= ref[:top, col][None, :] <= queries[a:b, col][:, None]
-        counts[a:b] = mask.sum(axis=1)
-    return counts
-
-
 def strict_dominance_counts(points):
     """Count, for every row, the rows strictly below it in all coordinates.
 
@@ -144,12 +119,10 @@ def weak_dominance_counts(points):
 
     The row itself always satisfies the comparison, so every count is at
     least 1; dividing by ``m`` gives the empirical joint CDF evaluated at
-    the sample points.
+    the sample points.  This is ``cross_weak_counts(points, points)``,
+    exact with column ties in O(m log^d m).
     """
-    pts = _as_points(points)
-    if has_column_ties(pts):
-        return _brute_counts(pts, pts, strict=False)
-    return strict_dominance_counts(pts) + 1
+    return cross_weak_counts(points, points)
 
 
 def cross_weak_counts(reference, queries):
@@ -164,9 +137,22 @@ def cross_weak_counts(reference, queries):
     -------
     ndarray of int64, shape (q,)
         ``counts[i] = #{j : reference[j] <= queries[i] componentwise}``.
+
+    Notes
+    -----
+    Two strict counts give it: one over the labelled union of both
+    samples, where a reference value of union rank r is keyed 2r and a
+    query value 2r + 1, less one over the queries alone.  Exact with ties,
+    in O(n log^d n) for n = m + q and d >= 2 columns.
     """
     ref = _as_points(reference)
     qry = _as_points(queries)
     if ref.shape[1] != qry.shape[1]:
         raise ValueError("reference and queries must share a column count")
-    return _brute_counts(ref, qry, strict=False)
+    m = ref.shape[0]
+    union = np.vstack([ref, qry])
+    keys = 2 * np.column_stack(
+        [_smaller_counts(union[:, c]) for c in range(union.shape[1])]
+    )
+    keys[m:] += 1
+    return _strict_counts(keys)[m:] - _strict_counts(qry)

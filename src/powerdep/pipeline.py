@@ -21,6 +21,7 @@ identical (data, config) pair reproduces the bundle byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -724,7 +725,10 @@ def write_artifacts(out_dir, payloads, force=False):
 
     Refuses to overwrite an existing file unless ``force`` is set, and
     checks every target before writing the first, so a refusal leaves no
-    new file behind.  Returns the mapping of file names to paths.
+    new file behind.  Each payload goes to a hidden ``.<name>.tmp`` file
+    first, and only once all of them are written are they renamed into
+    place, so an error while writing leaves neither a partial bundle nor
+    a temporary file.  Returns the mapping of file names to paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in sorted(payloads)}
@@ -734,9 +738,20 @@ def write_artifacts(out_dir, payloads, force=False):
                 f"refusing to overwrite {path}; pass force to replace it",
                 location=path,
             )
-    for name, path in paths.items():
-        with open(path, "w", newline="") as handle:
-            handle.write(payloads[name])
+    temps = {}
+    try:
+        for name in paths:
+            temp = os.path.join(out_dir, f".{name}.tmp")
+            with open(temp, "x", newline="") as handle:
+                temps[name] = temp
+                handle.write(payloads[name])
+        for name, temp in temps.items():
+            os.replace(temp, paths[name])
+    except BaseException:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
     return paths
 
 

@@ -405,6 +405,22 @@ class TestCliContract:
         code, out, err = invoke(args + ["--force"], capsys)
         assert code == 0
 
+    def test_unwritable_artifact_is_a_config_error_at_the_out_dir(
+        self, tmp_path, capsys
+    ):
+        # a temporary file left by an interrupted run blocks the write
+        stale = tmp_path / ".synthetic.csv.tmp"
+        stale.write_text("partial")
+        code, out, err = invoke(
+            ["synth", "--days", "70", "--hours", "5", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err["code"] == "config"
+        assert err["location"] == str(tmp_path)
+        assert os.listdir(tmp_path) == [".synthetic.csv.tmp"]
+        assert stale.read_text() == "partial"
+
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from_env"
         monkeypatch.setenv(cli.OUT_ENV, str(target))
@@ -466,6 +482,42 @@ class TestCliContract:
              "--out", str(out)],
             capsys,
         )
+        assert code == 1
+        assert err["code"] == "config"
+        assert err["location"] == str(cfg)
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "verb, content",
+        [
+            ("synth", {"days": "x"}),
+            ("synth", {"seed": "x"}),
+            ("synth", {"start": "2015-13-01"}),
+            ("simulate", {"n": "many"}),
+            ("simulate", {"seed": [1]}),
+            ("fit-vine", {"hour": "noon"}),
+        ],
+        ids=["synth-days", "synth-seed", "synth-start", "simulate-n",
+             "simulate-seed", "hour"],
+    )
+    def test_unconvertible_config_value_is_a_config_error_at_the_file(
+        self, verb, content, data_csv, tmp_path, capsys
+    ):
+        argv = [verb]
+        if verb == "simulate":
+            code, fitted, _ = invoke(
+                ["fit-vine", "--data", data_csv, "--hour", "3",
+                 "--out", str(tmp_path / "model")],
+                capsys,
+            )
+            assert code == 0
+            argv += ["--model", fitted["artifacts"]["vine"]]
+        elif verb == "fit-vine":
+            argv += ["--data", data_csv]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        code, _, err = invoke(argv + ["--config", str(cfg), "--out", str(out)], capsys)
         assert code == 1
         assert err["code"] == "config"
         assert err["location"] == str(cfg)

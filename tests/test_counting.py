@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from powerdep import counting
+from counting_oracle import brute_counts
 
 
 def brute_strict(points):
@@ -124,25 +125,20 @@ def test_three_column_kernel_matches_brute_force(m, seed, variant):
         pts[half:] = np.nextafter(pts[: m - half], 1.0)
     assume(not counting.has_column_ties(pts))
     assert np.array_equal(
-        counting.strict_dominance_counts(pts), counting._brute_counts(pts, pts, True)
+        counting.strict_dominance_counts(pts), brute_counts(pts, pts, True)
     )
 
 
 def test_three_column_kernel_matches_brute_force_large():
     pts = np.random.default_rng(2024).random((20_000, 3))
     assert np.array_equal(
-        counting.strict_dominance_counts(pts), counting._brute_counts(pts, pts, True)
+        counting.strict_dominance_counts(pts), brute_counts(pts, pts, True)
     )
 
 
-def test_tie_free_three_columns_never_reach_the_brute_path(monkeypatch):
+def test_tie_free_three_columns_never_reach_the_brute_path():
     pts = np.random.default_rng(8).random((300, 3))
     expected = brute_strict(pts)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("tie-free 3-column input reached _brute_counts")
-
-    monkeypatch.setattr(counting, "_brute_counts", refuse)
     strict = counting.strict_dominance_counts(pts)
     assert np.array_equal(strict, expected)
     assert np.array_equal(counting.weak_dominance_counts(pts), strict + 1)
@@ -151,30 +147,45 @@ def test_tie_free_three_columns_never_reach_the_brute_path(monkeypatch):
 @pytest.mark.parametrize(
     "d, decimals", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (4, None)]
 )
-def test_strict_counts_never_reach_the_brute_path(monkeypatch, d, decimals):
+def test_strict_counts_never_reach_the_brute_path(d, decimals):
     pts = np.random.default_rng(8).random((300, d))
     if decimals is not None:
         pts = np.round(pts, decimals)
     assert counting.has_column_ties(pts) == (decimals is not None)
     expected = brute_strict(pts)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("strict counts reached _brute_counts")
-
-    monkeypatch.setattr(counting, "_brute_counts", refuse)
     assert np.array_equal(counting.strict_dominance_counts(pts), expected)
 
 
-def test_tied_three_columns_take_the_brute_path(monkeypatch):
-    pts = np.round(np.random.default_rng(8).random((300, 3)), 1)
-    assert counting.has_column_ties(pts)
-    calls = []
-    brute = counting._brute_counts
+@st.composite
+def cross_clouds(draw):
+    # a reference cloud and a query cloud of another size, part of whose
+    # rows are copied, rounded or nextafter-shifted reference rows
+    d = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=150))
+    q = draw(st.integers(min_value=1, max_value=150).filter(lambda q: q != m))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    ref = rng.random((m, d))
+    qry = rng.random((q, d))
+    variant = draw(
+        st.sampled_from(("plain", "copies", "rounded", "neighbours", "ties"))
+    )
+    k = min(m, q)
+    if variant == "copies":
+        qry[:k] = ref[:k]
+    elif variant == "rounded":
+        qry[:k] = np.round(ref[:k], 1)
+    elif variant == "neighbours":
+        qry[:k] = np.nextafter(ref[:k], draw(st.sampled_from((0.0, 1.0))))
+    elif variant == "ties":
+        ref = np.round(ref, 1)
+        qry = np.round(qry, 1)
+    return ref, qry
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return brute(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "_brute_counts", spy)
-    assert np.array_equal(counting.weak_dominance_counts(pts), brute_weak(pts))
-    assert len(calls) == 1
+@given(cross_clouds())
+def test_cross_weak_counts_match_the_oracle(clouds):
+    ref, qry = clouds
+    assert np.array_equal(
+        counting.cross_weak_counts(ref, qry), brute_counts(ref, qry, False)
+    )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from powerdep import cli, counting, pipeline, taildep
+from powerdep import cli, pipeline, taildep
 from powerdep.data_ingest import HourlyPanel, slice_hour
 from powerdep.errors import ConfigError, DomainError
 from powerdep.pipeline import (
@@ -15,6 +15,7 @@ from powerdep.pipeline import (
     RollingResult,
     window_count,
 )
+from counting_oracle import brute_counts
 
 
 def small_config(**overrides):
@@ -275,7 +276,7 @@ class TestRunGlobal:
         monkeypatch.setattr(
             taildep,
             "strict_dominance_counts",
-            lambda x: counting._brute_counts(x, x, True),
+            lambda x: brute_counts(x, x, True),
         )
         brute = tail_json(pipeline.analyze_hour(panels[12], config))
         assert fast == brute
@@ -433,6 +434,38 @@ class TestReportBundle:
             pipeline.write_report_bundle(tmp_path, small_config(), global_result)
         assert os.listdir(tmp_path) == ["series.csv"]
         assert (tmp_path / "series.csv").read_text() == "kept\n"
+
+    def test_failed_write_leaves_no_partial_bundle(
+        self, tmp_path, global_result, monkeypatch
+    ):
+        # the second file write fails as on a full disk: no target and no
+        # temporary file may remain
+        real_open = open
+        opened = []
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        def failing_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            opened.append(path)
+            return FullDisk(handle) if len(opened) == 2 else handle
+
+        monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            pipeline.write_report_bundle(tmp_path, small_config(), global_result)
+        assert len(opened) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_rewrite_with_force_is_byte_identical(self, bundle, global_result):
         out, paths, rolls = bundle
