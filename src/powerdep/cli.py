@@ -9,10 +9,15 @@ sliding-window study, and ``simulate`` draws from a stored vine model.
 Every stochastic step is controlled by ``--seed`` alone; rerunning a
 verb with identical inputs reproduces its artifacts byte for byte.
 Existing artifacts are never overwritten unless ``--force`` is given.
-A flat JSON config file can preset any long option; explicit command
-line flags win.  Failures surface as one JSON object on stderr with the
-shape {code, message, location?} and exit status 1; usage problems exit
-with status 2.
+A flat JSON config file can preset any long option but ``--pattern``,
+keyed by its dest (``window_days`` for ``--window``): the value goes
+through its flag's converter and choices and becomes the parser's
+default, so explicit flags win, and integer options reject 70.9 and
+true.  Its other ``AnalysisConfig`` fields (Monte Carlo sizes, grids,
+``scenarios``) reach the analysis as they are.  Failures surface as one JSON
+object on stderr with the shape {code, message, location?} and exit
+status 1, a config value its flag rejects located at the file; usage
+problems, a bad flag value among them, exit with status 2.
 """
 
 from __future__ import annotations
@@ -41,12 +46,16 @@ from .data_ingest import (
 )
 from .errors import ConfigError, PowerdepError
 from .marginals import MarginalSpec, build_fit_from_params, simulate_ar_garch
-from .pipeline import AnalysisConfig, GlobalRunResult, child_seed
+from .pipeline import AnalysisConfig, child_seed, integer, number
 from .vine import VineEdge, VineModel, VineStructure
 
 OUT_ENV = "POWERDEP_OUT"
 
 SYNTH_FLAVORS = ("gaussian", "independence", "clayton", "break")
+
+# flag dests no config key presets; --pattern overrides the scenarios
+# field, which a config file gives as a JSON list
+_UNPRESET_DESTS = ("help", "config", "pattern")
 
 # (phi per lag, omega, arch alpha, garch beta) for each synthetic marginal
 _SYNTH_PARAMS = {
@@ -54,6 +63,16 @@ _SYNTH_PARAMS = {
     "demand": ((0.60,), 0.30, 0.08, 0.85),
     "wind": ((0.50,), 0.40, 0.10, 0.80),
     "solar": ((0.45,), 0.30, 0.08, 0.82),
+}
+
+# (family, parameter) of the price~demand, price~wind and price~solar edges
+# for each built-in vine; the break flavor switches from early to late
+_STAR_COUPLINGS = {
+    "gaussian": (("gaussian", 0.6), ("gaussian", -0.4), ("gaussian", -0.3)),
+    "independence": (),
+    "clayton": (("clayton", 2.0),),
+    "break-early": (("gaussian", 0.75),),
+    "break-late": (),
 }
 
 _SYNTH_SEASON_SCALE = {"price": 0.4, "demand": 0.5, "wind": 0.3, "solar": 0.6}
@@ -102,33 +121,20 @@ def _manual_vine(n_vars, trees, copulas):
 
 
 def _coupling_trees(n_vars):
-    if n_vars == 4:
-        t1 = (VineEdge((0, 1)), VineEdge((0, 2)), VineEdge((0, 3)))
-        t2 = (VineEdge((1, 2), (0,)), VineEdge((1, 3), (0,)))
-        t3 = (VineEdge((2, 3), (0, 1)),)
-        return (t1, t2, t3)
-    t1 = (VineEdge((0, 1)), VineEdge((0, 2)))
-    t2 = (VineEdge((1, 2), (0,)),)
-    return (t1, t2)
+    """C-vine rooted at price: tree k joins k to every j > k given 0..k-1."""
+    return tuple(
+        tuple(VineEdge((k, j), tuple(range(k))) for j in range(k + 1, n_vars))
+        for k in range(n_vars - 1)
+    )
 
 
 def _coupling_vine(flavor, n_vars):
-    """Built-in dependence structures the synthetic generator offers."""
+    """Built-in vine: the flavor's star couplings, independence elsewhere."""
     trees = _coupling_trees(n_vars)
     indep = BivariateCopula("independence")
     copulas = {e: indep for t in trees for e in t}
-    star = trees[0]
-    if flavor == "gaussian":
-        copulas[star[0]] = BivariateCopula("gaussian", 0, (0.6,))
-        copulas[star[1]] = BivariateCopula("gaussian", 0, (-0.4,))
-        if n_vars == 4:
-            copulas[star[2]] = BivariateCopula("gaussian", 0, (-0.3,))
-    elif flavor == "clayton":
-        copulas[star[0]] = BivariateCopula("clayton", 0, (2.0,))
-    elif flavor == "break-early":
-        copulas[star[0]] = BivariateCopula("gaussian", 0, (0.75,))
-    elif flavor not in ("independence", "break-late"):
-        raise ConfigError(f"unknown synthetic flavor {flavor!r}")
+    for edge, (family, theta) in zip(trees[0], _STAR_COUPLINGS[flavor]):
+        copulas[edge] = BivariateCopula(family, 0, (theta,))
     return _manual_vine(n_vars, trees, copulas)
 
 
@@ -302,66 +308,45 @@ def _load_config_file(path):
     return data
 
 
-def _out_dir(args, cfg):
-    out = args.out or cfg.get("out") or os.environ.get(OUT_ENV) or os.getcwd()
-    os.makedirs(out, exist_ok=True)
-    return out
+def _flag_presets(parser, cfg, path):
+    """The config values of ``parser``'s flags, each through its flag's converter.
 
-
-def _get(args, cfg, key, default):
-    """Resolution order: explicit flag, config file, built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _get_as(args, cfg, key, default, convert):
-    """``_get`` passed through ``convert``; a value it rejects is a config error.
-
-    A rejected config-file value is reported at the config file.
+    A flag without one takes a string (a switch, a boolean); a value the
+    flag rejects is a config error at the config file.
     """
-    value = _get(args, cfg, key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        from_file = getattr(args, key, None) is None
-        raise ConfigError(
-            f"cannot read {key} from {value!r}",
-            location=args.config if from_file else None,
-        ) from None
+    presets = {}
+    for action in parser._actions:
+        if action.dest not in cfg or action.dest in _UNPRESET_DESTS:
+            continue
+        value = cfg[action.dest]
+        try:
+            if action.type is not None:
+                value = action.type(value)
+            elif not isinstance(value, bool if action.nargs == 0 else str):
+                raise TypeError
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"cannot read {action.dest} from {cfg[action.dest]!r}", location=path
+            ) from None
+        presets[action.dest] = value
+    return presets
 
 
-def _force(args, cfg):
-    return bool(args.force or cfg.get("force", False))
+def _analysis_config(args, **overrides):
+    """``AnalysisConfig`` from the verb's flags and the file's other fields.
 
-
-def _parse_hours_value(value):
-    if value is None:
-        return None
-    try:
-        if isinstance(value, (list, tuple)):
-            return tuple(int(h) for h in value)
-        hours = tuple(int(tok) for tok in str(value).split(",") if tok.strip() != "")
-    except (TypeError, ValueError):
-        hours = ()
-    if not hours:
-        raise ConfigError(f"cannot parse hours from {value!r}")
-    return hours
-
-
-def _analysis_config(args, cfg, **overrides):
-    """The config file's ``AnalysisConfig`` fields, then non-None overrides.
-
-    An invalid value is reported at the config file when one is given.
+    A field that a flag of the verb owns comes from the parsed flag alone;
+    non-None overrides win.  An invalid value is reported at the config
+    file when one is given.
     """
-    kwargs = {k: v for k, v in cfg.items() if k in AnalysisConfig.__dataclass_fields__}
+    fields = AnalysisConfig.__dataclass_fields__
+    flags = {k: v for k, v in vars(args).items() if k in fields}
+    kwargs = {k: v for k, v in args.cfg.items() if k in fields and k not in flags}
+    kwargs.update((k, v) for k, v in flags.items() if v is not None)
     kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        if "hours" in kwargs:
-            kwargs["hours"] = _parse_hours_value(kwargs["hours"])
         return AnalysisConfig.from_json_dict(kwargs)
     except ConfigError as exc:
         if exc.location is None:
@@ -369,14 +354,13 @@ def _analysis_config(args, cfg, **overrides):
         raise
 
 
-def _load_records(args, cfg):
-    data = _get(args, cfg, "data", None)
-    if data is None:
+def _load_records(args):
+    if args.data is None:
         raise ConfigError("a --data CSV path is required")
     try:
-        records = load_csv(data, allow_duplicate_hours=True)
+        records = load_csv(args.data, allow_duplicate_hours=True)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file: {exc}", location=str(data)) from None
+        raise ConfigError(f"cannot read data file: {exc}", location=args.data) from None
     # clock-change artifacts only exist in full hourly exports; a file
     # already restricted to selected hours has nothing to repair
     if {rec.hour for rec in records} == set(range(24)):
@@ -391,22 +375,19 @@ def _load_records(args, cfg):
     return records, log
 
 
-def _load_panel(args, cfg):
-    if _get(args, cfg, "hour", None) is None:
+def _load_panel(args):
+    if args.hour is None:
         raise ConfigError("an --hour in 0..23 is required")
-    hour = _get_as(args, cfg, "hour", None, int)
-    records, log = _load_records(args, cfg)
-    return slice_hour(records, hour), log
+    records, log = _load_records(args)
+    return slice_hour(records, args.hour), log
 
 
-def _publish(args, cfg, out, artifacts):
+def _publish(args, artifacts):
     """Write ``{artifact key: (file name, text)}`` and print the artifact map."""
     try:
-        paths = pipeline.write_artifacts(
-            out, dict(artifacts.values()), _force(args, cfg)
-        )
+        paths = pipeline.write_artifacts(args.out, dict(artifacts.values()), args.force)
     except OSError as exc:
-        raise ConfigError(f"cannot write artifacts: {exc}", location=out) from None
+        raise ConfigError(f"cannot write artifacts: {exc}", location=args.out) from None
     keyed = {key: paths[name] for key, (name, _) in artifacts.items()}
     print(pipeline._json_bytes({"artifacts": keyed}), end="")
     return 0
@@ -417,21 +398,15 @@ def _publish(args, cfg, out, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args, cfg, out):
-    days = _get_as(args, cfg, "days", 800, int)
-    seed = _get_as(args, cfg, "seed", 0, int)
-    flavor = str(_get(args, cfg, "flavor", "gaussian"))
-    start = _get_as(
-        args, cfg, "start", "2015-01-01",
-        lambda value: datetime.date.fromisoformat(str(value)),
+def _cmd_synth(args):
+    records = generate_synthetic_records(
+        args.days, args.seed, args.flavor, args.start, args.hours
     )
-    hours = _parse_hours_value(_get(args, cfg, "hours", None))
-    records = generate_synthetic_records(days, seed, flavor, start, hours)
-    meta = _synth_meta(days, seed, flavor, start, hours or tuple(range(24)))
+    meta = _synth_meta(
+        args.days, args.seed, args.flavor, args.start, args.hours or tuple(range(24))
+    )
     return _publish(
         args,
-        cfg,
-        out,
         {
             "data": ("synthetic.csv", records_to_csv_text(records)),
             "metadata": ("synthetic_meta.json", pipeline._json_bytes(meta)),
@@ -439,11 +414,9 @@ def _cmd_synth(args, cfg, out):
     )
 
 
-def _cmd_ingest(args, cfg, out):
-    records, log = _load_records(args, cfg)
-    hours = _parse_hours_value(_get(args, cfg, "hours", None))
-    if hours is None:
-        hours = tuple(sorted({rec.hour for rec in records}))
+def _cmd_ingest(args):
+    records, log = _load_records(args)
+    hours = args.hours or tuple(sorted({rec.hour for rec in records}))
     artifacts = {
         f"panel_{hour:02d}": (
             f"panel_{hour:02d}.json",
@@ -455,20 +428,20 @@ def _cmd_ingest(args, cfg, out):
         "ingest_meta.json",
         pipeline._json_bytes({"hours": list(hours), "clock_changes": log}),
     )
-    return _publish(args, cfg, out, artifacts)
+    return _publish(args, artifacts)
 
 
-def _cmd_fit_marginals(args, cfg, out):
-    panel, _ = _load_panel(args, cfg)
+def _cmd_fit_marginals(args):
+    panel, _ = _load_panel(args)
     fits = {k: v.to_json_dict() for k, v in pipeline.fit_marginals(panel).items()}
     report = pipeline._json_bytes({"hour": panel.hour, "marginals": fits})
     name = f"marginals_hour_{panel.hour:02d}.json"
-    return _publish(args, cfg, out, {"marginals": (name, report)})
+    return _publish(args, {"marginals": (name, report)})
 
 
-def _cmd_fit_vine(args, cfg, out):
-    panel, _ = _load_panel(args, cfg)
-    config = _analysis_config(args, cfg, hours=(panel.hour,), seed=args.seed)
+def _cmd_fit_vine(args):
+    panel, _ = _load_panel(args)
+    config = _analysis_config(args, hours=(panel.hour,))
     fits, model = pipeline.fit_hour(panel, config)
     report = {
         "hour": panel.hour,
@@ -477,34 +450,23 @@ def _cmd_fit_vine(args, cfg, out):
         "vine": model.to_json_dict(),
     }
     name = f"vine_hour_{panel.hour:02d}.json"
-    return _publish(args, cfg, out, {"vine": (name, pipeline._json_bytes(report))})
+    return _publish(args, {"vine": (name, pipeline._json_bytes(report))})
 
 
-def _run_hour_analysis(args, cfg, scenario_override):
-    panel, _ = _load_panel(args, cfg)
-    config = _analysis_config(
-        args,
-        cfg,
-        hours=(panel.hour,),
-        seed=args.seed,
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        scenarios=scenario_override,
-    )
-    return pipeline.analyze_hour(panel, config)
-
-
-def _cmd_tail(args, cfg, out):
+def _hour_rows(args):
+    """The single-hour tail study of ``tail`` and ``scenarios``, and its CSV rows."""
+    panel, _ = _load_panel(args)
     patterns = tuple(args.pattern.split(",")) if args.pattern else None
-    result = _run_hour_analysis(args, cfg, patterns)
-    rows = pipeline.series_rows(
-        GlobalRunResult(results=(result,), failures=()), ()
-    )
+    config = _analysis_config(args, hours=(panel.hour,), scenarios=patterns)
+    result = pipeline.analyze_hour(panel, config)
+    return result, pipeline.series_rows((result,), ())
+
+
+def _cmd_tail(args):
+    result, rows = _hour_rows(args)
     stem = f"tail_hour_{result.hour:02d}"
     return _publish(
         args,
-        cfg,
-        out,
         {
             "tail_json": (f"{stem}.json", pipeline._json_bytes(result.to_json_dict())),
             "tail_csv": (f"{stem}.csv", pipeline.render_csv(rows)),
@@ -512,40 +474,22 @@ def _cmd_tail(args, cfg, out):
     )
 
 
-def _cmd_scenarios(args, cfg, out):
-    patterns = tuple(args.pattern.split(",")) if args.pattern else None
-    result = _run_hour_analysis(args, cfg, patterns)
-    rows = [
-        row
-        for row in pipeline.series_rows(
-            GlobalRunResult(results=(result,), failures=()), ()
-        )
-        if row["measure"] == "scenario"
-    ]
+def _cmd_scenarios(args):
+    result, rows = _hour_rows(args)
+    rows = [row for row in rows if row["measure"] == "scenario"]
     name = f"scenarios_hour_{result.hour:02d}.csv"
-    return _publish(
-        args, cfg, out, {"scenarios_csv": (name, pipeline.render_csv(rows))}
-    )
+    return _publish(args, {"scenarios_csv": (name, pipeline.render_csv(rows))})
 
 
-def _cmd_roll(args, cfg, out):
-    records, _ = _load_records(args, cfg)
-    config = _analysis_config(
-        args,
-        cfg,
-        hours=args.hours,
-        seed=args.seed,
-        window_days=args.window,
-        step_days=args.step,
-    )
+def _cmd_roll(args):
+    records, _ = _load_records(args)
+    config = _analysis_config(args)
     panels = {h: slice_hour(records, h) for h in config.hours}
     results = pipeline.run_rolling(panels, config)
-    rows = pipeline.series_rows(GlobalRunResult(results=(), failures=()), results)
+    rows = pipeline.series_rows((), results)
     report = pipeline._json_bytes([r.to_json_dict() for r in results])
     return _publish(
         args,
-        cfg,
-        out,
         {
             "rolling_json": ("rolling.json", report),
             "rolling_csv": ("rolling.csv", pipeline.render_csv(rows)),
@@ -553,26 +497,23 @@ def _cmd_roll(args, cfg, out):
     )
 
 
-def _cmd_simulate(args, cfg, out):
-    model_path = _get(args, cfg, "model", None)
-    if model_path is None:
+def _cmd_simulate(args):
+    if args.model is None:
         raise ConfigError("a --model vine JSON path is required")
-    data = _load_json_file(model_path, "model")
+    data = _load_json_file(args.model, "model")
     try:
         model = VineModel.from_json_dict(data.get("vine", data))
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ConfigError(
-            "model file does not hold a vine model", location=model_path
+            "model file does not hold a vine model", location=args.model
         ) from None
-    n = _get_as(args, cfg, "n", 10_000, int)
-    seed = _get_as(args, cfg, "seed", 0, int)
-    u = vine.simulate(model, n, seed=seed)
+    u = vine.simulate(model, args.n, seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"u{j}" for j in range(u.shape[1])])
     for row in u:
         writer.writerow([repr(float(x)) for x in row])
-    return _publish(args, cfg, out, {"simulated": ("simulated_u.csv", buf.getvalue())})
+    return _publish(args, {"simulated": ("simulated_u.csv", buf.getvalue())})
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +521,23 @@ def _cmd_simulate(args, cfg, out):
 # ---------------------------------------------------------------------------
 
 
+def _hours(value):
+    """Hours from a comma list or a JSON list, each an integer."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"no hours in {value!r}")
+    return tuple(integer(h) for h in value)
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="flat JSON config file; flags override it")
     parser.add_argument(
         "--out", help=f"output directory (default ${OUT_ENV} or the cwd)"
     )
-    parser.add_argument("--seed", type=int, help="master random seed")
+    parser.add_argument(
+        "--seed", type=integer, default=0, help="master random seed (default 0)"
+    )
     parser.add_argument(
         "--force", action="store_true", help="overwrite existing artifacts"
     )
@@ -594,7 +546,7 @@ def _add_common(parser):
 def _add_data(parser, with_hour):
     parser.add_argument("--data", help="input CSV in the ingest format")
     if with_hour:
-        parser.add_argument("--hour", type=int, help="hour of day, 0..23")
+        parser.add_argument("--hour", type=integer, help="hour of day, 0..23")
 
 
 def build_parser():
@@ -606,16 +558,24 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p)
-    p.add_argument("--days", type=int, help="number of days (default 800)")
+    p.add_argument("--days", type=integer, help="number of days (default 800)")
     p.add_argument("--flavor", choices=SYNTH_FLAVORS, help="dependence flavor")
-    p.add_argument("--start", help="first date, ISO format (default 2015-01-01)")
-    p.add_argument("--hours", help="comma list of hours (default all 24)")
-    p.set_defaults(func=_cmd_synth)
+    p.add_argument(
+        "--start",
+        type=datetime.date.fromisoformat,
+        help="first date, ISO format (default 2015-01-01)",
+    )
+    p.add_argument("--hours", type=_hours, help="comma list of hours (default all 24)")
+    p.set_defaults(
+        func=_cmd_synth, days=800, flavor="gaussian", start=datetime.date(2015, 1, 1)
+    )
 
     p = sub.add_parser("ingest", help="validate a CSV and write per-hour panels")
     _add_common(p)
     _add_data(p, with_hour=False)
-    p.add_argument("--hours", help="comma list of hours (default: all present)")
+    p.add_argument(
+        "--hours", type=_hours, help="comma list of hours (default: all present)"
+    )
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("fit-marginals", help="fit AR-GARCH marginals for one hour")
@@ -631,8 +591,8 @@ def build_parser():
     p = sub.add_parser("tail", help="tail dependence study of one hour")
     _add_common(p)
     _add_data(p, with_hour=True)
-    p.add_argument("--alpha", type=float, help="conditioning tail level")
-    p.add_argument("--beta", type=float, help="target tail level")
+    p.add_argument("--alpha", type=number, help="conditioning tail level")
+    p.add_argument("--beta", type=number, help="target tail level")
     p.add_argument(
         "--pattern",
         help="comma list of scenario patterns such as HLL or LHH:L "
@@ -643,26 +603,34 @@ def build_parser():
     p = sub.add_parser("scenarios", help="scenario table of one hour")
     _add_common(p)
     _add_data(p, with_hour=True)
-    p.add_argument("--alpha", type=float, help="conditioning tail level")
-    p.add_argument("--beta", type=float, help="target tail level")
+    p.add_argument("--alpha", type=number, help="conditioning tail level")
+    p.add_argument("--beta", type=number, help="target tail level")
     p.add_argument("--pattern", help="comma list of scenario patterns")
     p.set_defaults(func=_cmd_scenarios)
 
     p = sub.add_parser("roll", help="rolling-window dependence study")
     _add_common(p)
     _add_data(p, with_hour=False)
-    p.add_argument("--hours", help="comma list of hours")
-    p.add_argument("--window", type=int, help="window length in days (default 730)")
-    p.add_argument("--step", type=int, help="roll step in days (default 1)")
+    p.add_argument("--hours", type=_hours, help="comma list of hours")
+    p.add_argument("--window", dest="window_days", type=integer, metavar="WINDOW",
+                   help="window length in days (default 730)")
+    p.add_argument("--step", dest="step_days", type=integer, metavar="STEP",
+                   help="roll step in days (default 1)")
     p.set_defaults(func=_cmd_roll)
 
     p = sub.add_parser("simulate", help="simulate from a stored vine model")
     _add_common(p)
     p.add_argument("--model", help="vine JSON written by fit-vine")
-    p.add_argument("--n", type=int, help="sample size (default 10000)")
-    p.set_defaults(func=_cmd_simulate)
+    p.add_argument("--n", type=integer, help="sample size (default 10000)")
+    p.set_defaults(func=_cmd_simulate, n=10_000)
 
     return parser
+
+
+def verb_parsers(parser):
+    """``{verb: sub-parser}`` of a parser made by :func:`build_parser`."""
+    (verbs,) = (action for action in parser._actions if action.dest == "verb")
+    return verbs.choices
 
 
 def main(argv=None):
@@ -672,8 +640,15 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        # config values become the verb's defaults, so a flag still wins
         cfg = _load_config_file(args.config)
-        return args.func(args, cfg, _out_dir(args, cfg))
+        verb = verb_parsers(parser)[args.verb]
+        verb.set_defaults(**_flag_presets(verb, cfg, args.config))
+        args = parser.parse_args(argv)
+        args.cfg = cfg
+        args.out = args.out or os.environ.get(OUT_ENV) or os.getcwd()
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args)
     except PowerdepError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict()) + "\n")
         return 1

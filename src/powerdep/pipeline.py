@@ -75,6 +75,23 @@ _CSV_COLUMNS = (
 )
 
 
+def integer(value):
+    """``value`` as an int: a Python or numpy integer, or integer text.
+
+    Floats (even 70.0) and booleans raise rather than truncate.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def number(value):
+    """``value`` as a float: a real number or numeric text, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def child_seed(base, *keys):
     """Deterministic child seed from the run seed and integer keys."""
     ss = np.random.SeedSequence(entropy=(int(base),) + tuple(int(k) for k in keys))
@@ -110,6 +127,20 @@ def _parse_pattern_token(token):
     return body, target
 
 
+# the integer fields of AnalysisConfig, each with its least value
+_INTEGER_FLOORS = {
+    "window_days": _MIN_WINDOW,  # a shorter window cannot fit the marginals
+    "step_days": 1,
+    "n_mc_spearman": 10_000,
+    "n_mc_tdc": 1000,
+    "n_mc_lambda": 1000,
+    "n_mc_scenario": 1000,
+    "n_mc_rolling": 10_000,
+    "seed": None,
+    "jobs": 1,
+}
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Knobs of a full run; defaults follow the published study scale."""
@@ -133,31 +164,24 @@ class AnalysisConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        hours = tuple(int(h) for h in self.hours)
+        rules = dict.fromkeys(_INTEGER_FLOORS, integer) | dict(alpha=number, beta=number)
+        name = "hours"
+        try:
+            hours = tuple(integer(h) for h in self.hours)
+            for name, rule in rules.items():
+                object.__setattr__(self, name, rule(getattr(self, name)))
+        except (TypeError, ValueError):
+            raise ConfigError(f"cannot read {name} from {getattr(self, name)!r}") from None
         if any(not 0 <= h <= 23 for h in hours):
             raise ConfigError("hours must lie in 0..23")
         if len(set(hours)) != len(hours):
             raise ConfigError("hours must be distinct")
         object.__setattr__(self, "hours", hours)
-        if self.window_days < _MIN_WINDOW:
-            raise ConfigError(
-                f"window_days must be at least {_MIN_WINDOW} to fit marginals"
-            )
-        if self.step_days < 1:
-            raise ConfigError("step_days must be at least 1")
+        for name, floor in _INTEGER_FLOORS.items():
+            if floor is not None and getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be at least {floor}")
         if not (0.0 < self.alpha < 0.5) or not (0.0 < self.beta < 0.5):
             raise ConfigError("alpha and beta must lie in (0, 0.5)")
-        for name, floor in (
-            ("n_mc_spearman", 10_000),
-            ("n_mc_tdc", 1000),
-            ("n_mc_lambda", 1000),
-            ("n_mc_scenario", 1000),
-            ("n_mc_rolling", 10_000),
-        ):
-            if getattr(self, name) < floor:
-                raise ConfigError(f"{name} must be at least {floor}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         object.__setattr__(
             self, "alpha_grid", tuple(float(a) for a in self.alpha_grid)
         )
@@ -592,9 +616,9 @@ def _fmt(value):
     return str(value)
 
 
-def series_rows(global_result, rolling_results):
+def series_rows(hour_results, rolling_results):
     rows = []
-    for res in global_result.results:
+    for res in hour_results:
         h = res.hour
         for pair in sorted(res.spearman):
             est = res.spearman[pair]
@@ -770,7 +794,7 @@ def write_report_bundle(out_dir, config, global_result, rolling_results=(), forc
             [roll.to_json_dict() for roll in rolling_results]
         )
     payloads["series.csv"] = render_csv(
-        series_rows(global_result, rolling_results)
+        series_rows(global_result.results, rolling_results)
     )
     payloads["run_metadata.json"] = _json_bytes(
         {

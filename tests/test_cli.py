@@ -468,8 +468,12 @@ class TestCliContract:
             {"n_mc_tdc": "many"},
             {"scenarios": "HLL"},
             {"alpha_grid": "0.05"},
+            {"window_days": 200.5},
+            {"jobs": True},
+            {"alpha": True},
         ],
-        ids=["scalar-grid", "string-size", "string-scenarios", "string-grid"],
+        ids=["scalar-grid", "string-size", "string-scenarios", "string-grid",
+             "fractional-window", "boolean-jobs", "boolean-alpha"],
     )
     def test_wrong_typed_config_value_is_a_config_error_at_the_file(
         self, verb, content, data_csv, tmp_path, capsys
@@ -496,9 +500,15 @@ class TestCliContract:
             ("simulate", {"n": "many"}),
             ("simulate", {"seed": [1]}),
             ("fit-vine", {"hour": "noon"}),
+            ("synth", {"days": 70.9}),
+            ("synth", {"seed": True}),
+            ("simulate", {"n": 500.5}),
+            ("fit-vine", {"hour": 3.5}),
+            ("synth", {"flavor": "weird"}),
         ],
         ids=["synth-days", "synth-seed", "synth-start", "simulate-n",
-             "simulate-seed", "hour"],
+             "simulate-seed", "hour", "fractional-days", "boolean-seed",
+             "fractional-n", "fractional-hour", "unknown-flavor"],
     )
     def test_unconvertible_config_value_is_a_config_error_at_the_file(
         self, verb, content, data_csv, tmp_path, capsys

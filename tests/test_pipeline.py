@@ -125,6 +125,11 @@ class TestAnalysisConfig:
             {"tdc_grid": ()},
             {"tdc_grid": (0.05, 0.0)},
             {"alpha_grid": (0.01, 0.05)},
+            {"seed": 1.5},
+            {"hours": (3.7,)},
+            {"window_days": 200.5},
+            {"n_mc_lambda": 40000.5},
+            {"jobs": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
