@@ -172,21 +172,24 @@ def generate_synthetic_records(
     (strong price/demand coupling in the first half of the sample, none
     in the second).
     """
-    days = int(days)
+    try:
+        days, seed = integer(days), _seed(seed)
+        hours = range(24) if hours is None else {integer(h) for h in hours}
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"cannot read days {days!r}, seed {seed!r} or hours {hours!r}"
+        ) from None
     if days < 60:
         raise ConfigError("need at least 60 days of synthetic data")
     if flavor not in SYNTH_FLAVORS:
         raise ConfigError(
             f"flavor must be one of {SYNTH_FLAVORS}, got {flavor!r}"
         )
-    if hours is None:
-        hours = tuple(range(24))
-    else:
-        hours = tuple(sorted({int(h) for h in hours}))
-        if any(not 0 <= h <= 23 for h in hours):
-            raise ConfigError("hours must lie in 0..23")
-        if not hours:
-            raise ConfigError("need at least one hour")
+    hours = tuple(sorted(hours))
+    if any(not 0 <= h <= 23 for h in hours):
+        raise ConfigError("hours must lie in 0..23")
+    if not hours:
+        raise ConfigError("need at least one hour")
     dates = tuple(start + datetime.timedelta(days=k) for k in range(days))
     dummies = build_dummies(dates)
 
@@ -530,13 +533,21 @@ def _hours(value):
     return tuple(integer(h) for h in value)
 
 
+def _seed(value):
+    """A seed: an integer of at least 0, as numpy seed sequences need."""
+    seed = integer(value)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="flat JSON config file; flags override it")
     parser.add_argument(
         "--out", help=f"output directory (default ${OUT_ENV} or the cwd)"
     )
     parser.add_argument(
-        "--seed", type=integer, default=0, help="master random seed (default 0)"
+        "--seed", type=_seed, default=0, help="master random seed (default 0)"
     )
     parser.add_argument(
         "--force", action="store_true", help="overwrite existing artifacts"

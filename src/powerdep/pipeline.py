@@ -17,12 +17,19 @@ randomness flows from the config seed through one child seed per hour
 and one per rolling window: each draws a single vine sample, and every
 measure reads the prefix of its configured Monte Carlo size.  So an
 identical (data, config) pair reproduces the bundle byte for byte.
+
+``config.jobs`` worker processes share the hours of the global study and
+the windows of each rolling hour.  For the length of a study every
+process runs BLAS on one thread (:func:`one_blas_thread`), so serial and
+pooled runs compute alike and the bundle is the same for any ``jobs``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import importlib
 import io
 import json
 import os
@@ -36,13 +43,7 @@ import scipy
 from . import taildep, vine
 from .bicop import DEFAULT_CANDIDATES
 from .data_ingest import SOLAR_HOURS, build_dummies, HourlyPanel
-from .errors import (
-    ConfigError,
-    DegenerateSeriesError,
-    DomainError,
-    OptimizationError,
-    PowerdepError,
-)
+from .errors import ConfigError, DomainError, PowerdepError
 from .marginals import MarginalSpec, fit_ar_garch
 from .taildep import ScenarioPattern
 
@@ -136,7 +137,7 @@ _INTEGER_FLOORS = {
     "n_mc_lambda": 1000,
     "n_mc_scenario": 1000,
     "n_mc_rolling": 10_000,
-    "seed": None,
+    "seed": 0,  # numpy seed sequences take no negative entropy
     "jobs": 1,
 }
 
@@ -178,7 +179,7 @@ class AnalysisConfig:
             raise ConfigError("hours must be distinct")
         object.__setattr__(self, "hours", hours)
         for name, floor in _INTEGER_FLOORS.items():
-            if floor is not None and getattr(self, name) < floor:
+            if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be at least {floor}")
         if not (0.0 < self.alpha < 0.5) or not (0.0 < self.beta < 0.5):
             raise ConfigError("alpha and beta must lie in (0, 0.5)")
@@ -506,16 +507,83 @@ def _check_panels(panels, hours):
         raise ConfigError(f"no panel supplied for hours {missing}")
 
 
+# (extension module linked to an OpenBLAS, suffix of its thread-count
+# symbols): numpy's 64-bit-integer build, then scipy's
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath", "64_"),
+    ("scipy.linalg._fblas", ""),
+)
+
+
+def _openblas_controls():
+    """``(get, set)`` thread-count functions of each reachable OpenBLAS.
+
+    A library or symbol that cannot be found is left out.
+    """
+    controls = []
+    for module, suffix in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return controls
+
+
+def _set_blas_threads(count):
+    for _, set_ in _openblas_controls():
+        set_(count)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every reachable OpenBLAS on one thread.
+
+    The previous counts come back on exit; without a reachable OpenBLAS
+    this does nothing.  The studies' many small fits gain nothing from
+    BLAS threads, and pool workers that each start one thread per core
+    would contend for the cores.
+    """
+    controls = _openblas_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
+def _map(unit, tasks, jobs):
+    """``[unit(task) for task in tasks]``, over ``jobs`` worker processes.
+
+    Runs serially when ``jobs`` is 1 or there is at most one task.  Either
+    way every process computes with one BLAS thread, so the results do not
+    depend on ``jobs``: the worker initializer pins whatever the platform's
+    start method hands over.
+    """
+    tasks = list(tasks)
+    with one_blas_thread():
+        if jobs == 1 or len(tasks) <= 1:
+            return [unit(task) for task in tasks]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            initializer=_set_blas_threads,
+            initargs=(1,),
+        ) as pool:
+            return list(pool.map(unit, tasks))
+
+
 def run_global(panels, config):
     """Analyse every configured hour; failures are contained per hour."""
     _check_panels(panels, config.hours)
     jobs = [(panels[h], config) for h in sorted(config.hours)]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_hour_job, jobs))
-    else:
-        outcomes = [_hour_job(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
+    outcomes = _map(_hour_job, jobs, config.jobs)
     results = tuple(res for _, res, err in outcomes if err is None)
     failures = tuple(err for _, _, err in outcomes if err is not None)
     return GlobalRunResult(results=results, failures=failures)
@@ -542,8 +610,20 @@ def _model_spearman_all_pairs(panel, config, seed_keys):
     }
 
 
+def _spearman_job(args):
+    """Pairwise induced Spearman of one sample, or the error that stopped it."""
+    try:
+        return _model_spearman_all_pairs(*args)
+    except PowerdepError as exc:
+        return exc
+
+
 def rolling_hour(panel, config):
-    """Sliding-window re-estimation of the pairwise dependence series."""
+    """Sliding-window re-estimation of the pairwise dependence series.
+
+    A window whose fit fails is skipped with its error code; a failing
+    full-sample reference fails the hour.
+    """
     total = len(panel.dates)
     window = config.window_days
     step = config.step_days
@@ -555,40 +635,37 @@ def rolling_hour(panel, config):
     names = panel.variable_names
     pairs = [_pair_label(names, i, j) for i, j in _variable_pairs(names)]
 
+    windows = [_window_panel(panel, w * step, window) for w in range(count)]
+    tasks = [
+        (sub, config, (panel.hour, _SEED_ROLL, w)) for w, sub in enumerate(windows)
+    ]
+    tasks.append((panel, config, (panel.hour, _SEED_REFERENCE)))
+    *estimates, reference = _map(_spearman_job, tasks, config.jobs)
+    if isinstance(reference, PowerdepError):
+        raise reference
+
     series = {pair: [] for pair in pairs}
-    end_dates = []
     skipped = []
-    for w in range(count):
-        sub = _window_panel(panel, w * step, window)
-        end_dates.append(sub.dates[-1].isoformat())
-        try:
-            estimates = _model_spearman_all_pairs(
-                sub, config, (panel.hour, _SEED_ROLL, w)
-            )
-        except (DegenerateSeriesError, OptimizationError) as exc:
+    for w, (sub, found) in enumerate(zip(windows, estimates)):
+        if isinstance(found, PowerdepError):
             skipped.append(
                 {
                     "window_index": w,
                     "window_end": sub.dates[-1].isoformat(),
-                    "code": exc.code,
-                    "message": str(exc),
+                    "code": found.code,
+                    "message": str(found),
                 }
             )
-            for pair in pairs:
-                series[pair].append(None)
-            continue
+            found = dict.fromkeys(pairs)
         for pair in pairs:
-            series[pair].append(estimates[pair])
+            series[pair].append(found[pair])
 
-    reference = _model_spearman_all_pairs(
-        panel, config, (panel.hour, _SEED_REFERENCE)
-    )
     return RollingResult(
         hour=panel.hour,
         variable_names=names,
         window_days=window,
         step_days=step,
-        window_end_dates=tuple(end_dates),
+        window_end_dates=tuple(sub.dates[-1].isoformat() for sub in windows),
         series={pair: tuple(vals) for pair, vals in series.items()},
         reference=reference,
         skipped=tuple(skipped),

@@ -109,6 +109,15 @@ class TestSynth:
         assert out is None
         assert err["code"] == "config"
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(
+            ["synth", "--days", "60", "--seed", "-1", "--hours", "3",
+             "--out", str(tmp_path)]
+        )
+        capsys.readouterr()
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_flavor_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
             ["synth", "--days", "90", "--flavor", "cauchy", "--out", str(tmp_path)]
@@ -302,6 +311,26 @@ class TestRoll:
         assert len(report[0]["window_end_dates"]) == n_windows
 
 
+    def test_pooled_windows_write_the_same_bytes(
+        self, data_csv, small_config_file, tmp_path, capsys
+    ):
+        reports = []
+        for jobs in (1, 2):
+            cfg = tmp_path / f"jobs{jobs}.json"
+            cfg.write_text(
+                json.dumps({**json.load(open(small_config_file)), "jobs": jobs})
+            )
+            code, out, _ = invoke(
+                ["roll", "--data", data_csv, "--hours", "3",
+                 "--window", "200", "--step", "60",
+                 "--config", str(cfg), "--out", str(tmp_path / f"out{jobs}")],
+                capsys,
+            )
+            assert code == 0
+            reports.append(open(out["artifacts"]["rolling_json"], "rb").read())
+        assert reports[0] == reports[1]
+
+
 class TestSimulate:
     def test_simulate_from_stored_model(self, data_csv, tmp_path, capsys):
         code, out, _ = invoke(
@@ -368,8 +397,8 @@ class TestCliContract:
         assert code == 2
 
     def test_roll_has_no_jobs_flag(self, capsys):
-        # the rolling study runs its hours serially, so a jobs flag would
-        # do nothing
+        # roll reads jobs from the config file, like the other
+        # AnalysisConfig fields without a flag
         code = cli.main(["roll", "--hours", "3", "--jobs", "2"])
         capsys.readouterr()
         assert code == 2
@@ -502,13 +531,14 @@ class TestCliContract:
             ("fit-vine", {"hour": "noon"}),
             ("synth", {"days": 70.9}),
             ("synth", {"seed": True}),
+            ("synth", {"seed": -1}),
             ("simulate", {"n": 500.5}),
             ("fit-vine", {"hour": 3.5}),
             ("synth", {"flavor": "weird"}),
         ],
         ids=["synth-days", "synth-seed", "synth-start", "simulate-n",
              "simulate-seed", "hour", "fractional-days", "boolean-seed",
-             "fractional-n", "fractional-hour", "unknown-flavor"],
+             "negative-seed", "fractional-n", "fractional-hour", "unknown-flavor"],
     )
     def test_unconvertible_config_value_is_a_config_error_at_the_file(
         self, verb, content, data_csv, tmp_path, capsys
@@ -532,6 +562,15 @@ class TestCliContract:
         assert err["code"] == "config"
         assert err["location"] == str(cfg)
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "days, seed, hours",
+        [(70.9, 0, (5,)), (70, 0, (5.7,)), (70, -1, (5,))],
+        ids=["fractional-days", "fractional-hour", "negative-seed"],
+    )
+    def test_generator_rejects_unreadable_arguments(self, days, seed, hours):
+        with pytest.raises(ConfigError):
+            cli.generate_synthetic_records(days, seed, hours=hours)
 
     def test_generator_rejects_bad_hours(self):
         with pytest.raises(ConfigError):

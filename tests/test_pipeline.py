@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from powerdep import cli, pipeline, taildep
 from powerdep.data_ingest import HourlyPanel, slice_hour
-from powerdep.errors import ConfigError, DomainError
+from powerdep.errors import ConfigError, DomainError, SelectionError
 from powerdep.pipeline import (
     AnalysisConfig,
     HourlyAnalysisResult,
@@ -126,6 +126,7 @@ class TestAnalysisConfig:
             {"tdc_grid": (0.05, 0.0)},
             {"alpha_grid": (0.01, 0.05)},
             {"seed": 1.5},
+            {"seed": -1},
             {"hours": (3.7,)},
             {"window_days": 200.5},
             {"n_mc_lambda": 40000.5},
@@ -384,6 +385,46 @@ class TestRunRolling:
         # the whole-sample fit averages over both regimes
         assert late.max() + 0.1 < reference < early.min() - 0.1
 
+    def test_a_failing_window_is_skipped_not_fatal(self, panel_300, monkeypatch):
+        # any PowerdepError of one window's fit is contained, not only the
+        # degenerate-series and optimisation errors
+        fit_hour = pipeline.fit_hour
+        third_start = panel_300.dates[2 * 20]
+
+        def failing_on_the_third_window(panel, config):
+            if panel.dates[0] == third_start and len(panel.dates) == 200:
+                raise SelectionError("no candidate fits")
+            return fit_hour(panel, config)
+
+        monkeypatch.setattr(pipeline, "fit_hour", failing_on_the_third_window)
+        roll = pipeline.run_rolling({3: panel_300}, rolling_config())[0]
+        assert roll.skipped == (
+            {
+                "window_index": 2,
+                "window_end": roll.window_end_dates[2],
+                "code": "selection",
+                "message": "no candidate fits",
+            },
+        )
+        for values in roll.series.values():
+            assert values[2] is None
+            assert all(isinstance(v, float) for k, v in enumerate(values) if k != 2)
+
+    def test_parallel_jobs_match_serial(self, panel_300, tmp_path):
+        serial = pipeline.run_rolling({3: panel_300}, rolling_config())
+        pooled = pipeline.run_rolling({3: panel_300}, rolling_config(jobs=2))
+        assert pooled == serial
+        # the metadata echoes the config, jobs included, so both bundles
+        # are written with one config
+        bundles = []
+        for name, rolls in (("serial", serial), ("pooled", pooled)):
+            empty = pipeline.GlobalRunResult(results=(), failures=())
+            paths = pipeline.write_report_bundle(
+                tmp_path / name, rolling_config(), empty, rolls
+            )
+            bundles.append({n: open(p, "rb").read() for n, p in paths.items()})
+        assert bundles[0] == bundles[1]
+
     def test_too_short_sample_is_domain_error(self, panel_300):
         with pytest.raises(DomainError, match="window"):
             pipeline.run_rolling(
@@ -405,6 +446,71 @@ class TestRunRolling:
                 series={"price~demand": (0.5,)},
                 reference={"price~demand": 0.5},
             )
+
+
+def blas_threads(controls=None):
+    """Thread count of each OpenBLAS the pipeline reaches."""
+    return tuple(get() for get, _ in controls or pipeline._openblas_controls())
+
+
+def _blas_threads_of(task):
+    return blas_threads()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every reachable OpenBLAS on two threads for the test, then as before."""
+    controls = pipeline._openblas_controls()
+    before = blas_threads(controls)
+    if not before:
+        pytest.skip("no reachable OpenBLAS")
+    for _, set_ in controls:
+        set_(2)
+    yield (2,) * len(before)
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+class TestBlasPin:
+    def test_studies_run_on_one_thread_and_restore_the_count(
+        self, panels, panel_300, two_blas_threads, monkeypatch
+    ):
+        seen = []
+        analyze_hour = pipeline.analyze_hour
+        model_spearman = pipeline._model_spearman_all_pairs
+
+        def analyze_recording(panel, config):
+            seen.append(blas_threads())
+            return analyze_hour(panel, config)
+
+        def spearman_recording(panel, config, seed_keys):
+            seen.append(blas_threads())
+            return model_spearman(panel, config, seed_keys)
+
+        monkeypatch.setattr(pipeline, "analyze_hour", analyze_recording)
+        monkeypatch.setattr(pipeline, "_model_spearman_all_pairs", spearman_recording)
+        pipeline.run_global(panels, small_config(hours=(3,)))
+        assert blas_threads() == two_blas_threads
+        pipeline.run_rolling({3: panel_300}, rolling_config(step_days=50))
+        assert blas_threads() == two_blas_threads
+        # one hour, then three windows and the reference
+        assert seen == [(1,) * len(two_blas_threads)] * 5
+
+    def test_pool_workers_run_on_one_thread(self, two_blas_threads):
+        ones = (1,) * len(two_blas_threads)
+        assert pipeline._map(_blas_threads_of, range(4), 2) == [ones] * 4
+        assert blas_threads() == two_blas_threads
+
+    def test_missing_symbols_make_the_pin_a_no_op(self, two_blas_threads, monkeypatch):
+        controls = pipeline._openblas_controls()
+        monkeypatch.setattr(
+            pipeline,
+            "_OPENBLAS",
+            (("numpy._core._multiarray_umath", "_missing"), ("no_such_module", "")),
+        )
+        with pipeline.one_blas_thread():
+            assert pipeline._openblas_controls() == []
+            assert blas_threads(controls) == two_blas_threads
 
 
 @pytest.fixture(scope="module")
