@@ -341,19 +341,21 @@ def _gumbel_hfunc_base(u, v, theta):
 
 
 def _gumbel_hinv_base(p, v, theta):
-    # no closed form; monotone bisection on the conditional CDF
-    p_arr, v_arr = np.broadcast_arrays(
-        np.asarray(p, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    )
-    lo = np.full(p_arr.shape, EPS)
-    hi = np.full(p_arr.shape, 1.0 - EPS)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = _gumbel_hfunc_base(mid, v_arr, theta) < p_arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    result = 0.5 * (lo + hi)
-    return result if result.ndim else float(result)
+    # h(u|v) = p fixes s = ((-ln u)^theta + (-ln v)^theta)^(1/theta) through
+    # s + (theta - 1) ln s = b, so s = (theta - 1) W(b / (theta - 1) - ln(theta - 1))
+    # with W Wright's omega (W + ln W = z), and s = b when theta = 1
+    log_y = np.log(-np.log(v))
+    c = theta - 1.0
+    b = c * log_y - np.log(v) - np.log(p)
+    if c == 0.0:
+        log_s = np.log(b)
+    else:
+        log_s = np.log(c) + np.log(special.wrightomega(b / c - np.log(c)))
+    # s >= -ln v; rounding where u -> 1 could otherwise give NaN below
+    log_s = np.maximum(log_s, log_y)
+    with np.errstate(divide="ignore"):
+        log_x = log_s + np.log1p(-np.exp(theta * (log_y - log_s))) / theta
+    return np.exp(-np.exp(log_x))
 
 
 def _frank_g(x, theta):

@@ -53,7 +53,7 @@ class MissingDatesError(PowerdepError):
 
     code = "missing_dates"
 
-    def __init__(self, message, dates, location=None):
+    def __init__(self, message, dates=(), location=None):
         super().__init__(message, location)
         self.dates = list(dates)
 

@@ -22,6 +22,8 @@ identical (data, config) pair reproduces the bundle byte for byte.
 the windows of each rolling hour.  For the length of a study every
 process runs BLAS on one thread (:func:`one_blas_thread`), so serial and
 pooled runs compute alike and the bundle is the same for any ``jobs``.
+One runner contains each task's ``PowerdepError``, so a failing hour or
+window is recorded the same way for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -29,19 +31,20 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import functools
 import importlib
 import io
 import json
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
 
 from . import taildep, vine
-from .bicop import DEFAULT_CANDIDATES
+from .bicop import DEFAULT_CANDIDATES, FAMILIES, ROTATIONS
 from .data_ingest import SOLAR_HOURS, build_dummies, HourlyPanel
 from .errors import ConfigError, DomainError, PowerdepError
 from .marginals import MarginalSpec, fit_ar_garch
@@ -113,19 +116,14 @@ def window_count(total_days, window_days, step_days):
     return (total - window) // step + 1
 
 
-def _parse_pattern_token(token):
-    text = str(token).strip()
-    if ":" in text:
-        body, target = text.split(":", 1)
-    else:
-        body, target = text, "H"
-    body = body.upper()
-    target = target.upper()
+def _pattern(token):
+    """Scenario pattern in upper case, its target written only when it is L."""
+    body, colon, target = str(token).strip().upper().partition(":")
     if not body or any(c not in "HL" for c in body):
         raise ConfigError(f"scenario pattern {token!r} must use only H and L")
-    if target not in ("H", "L"):
+    if colon and target not in ("H", "L"):
         raise ConfigError(f"scenario target in {token!r} must be H or L")
-    return body, target
+    return f"{body}:L" if target == "L" else body
 
 
 # the integer fields of AnalysisConfig, each with its least value
@@ -142,9 +140,51 @@ _INTEGER_FLOORS = {
 }
 
 
+def _items(rule):
+    """Rule of a list field: a list or tuple (never text), each item by ``rule``."""
+
+    def read(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(rule, value))
+
+    return read
+
+
+def _candidate(pair):
+    """A (family, rotation) pair of ``bicop.FAMILIES`` and ``bicop.ROTATIONS``."""
+    family, rotation = pair
+    rotation = integer(rotation)
+    if family not in FAMILIES or rotation not in ROTATIONS:
+        raise ValueError(f"no pair-copula {family!r} at rotation {rotation}")
+    return str(family), rotation
+
+
+# how AnalysisConfig reads each field; a rule that raises TypeError or
+# ValueError makes the value unreadable
+_RULES = {
+    "hours": _items(integer),
+    **dict.fromkeys(_INTEGER_FLOORS, integer),
+    **dict.fromkeys(("alpha", "beta"), number),
+    **dict.fromkeys(("alpha_grid", "tdc_grid"), _items(number)),
+    "indep_test": lambda level: None if level is None else number(level),
+    "candidates": _items(_candidate),
+    "scenarios": _items(_pattern),  # a bad pattern fails at config time
+}
+
+
+def _plain(value):
+    """``value`` with every tuple, nested ones too, as a list."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs of a full run; defaults follow the published study scale."""
+    """Knobs of a full run; defaults follow the published study scale.
+
+    The constructor is the one check: it reads each field by its rule in
+    ``_RULES``, then checks the values together.
+    """
 
     hours: tuple = tuple(range(24))
     window_days: int = 730
@@ -165,28 +205,20 @@ class AnalysisConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        rules = dict.fromkeys(_INTEGER_FLOORS, integer) | dict(alpha=number, beta=number)
-        name = "hours"
-        try:
-            hours = tuple(integer(h) for h in self.hours)
-            for name, rule in rules.items():
-                object.__setattr__(self, name, rule(getattr(self, name)))
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot read {name} from {getattr(self, name)!r}") from None
-        if any(not 0 <= h <= 23 for h in hours):
-            raise ConfigError("hours must lie in 0..23")
-        if len(set(hours)) != len(hours):
-            raise ConfigError("hours must be distinct")
-        object.__setattr__(self, "hours", hours)
+        for name, rule in _RULES.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, rule(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"cannot read {name} from {value!r}") from None
+        hours = self.hours
+        if any(not 0 <= h <= 23 for h in hours) or len(set(hours)) != len(hours):
+            raise ConfigError("hours must be distinct and lie in 0..23")
         for name, floor in _INTEGER_FLOORS.items():
             if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be at least {floor}")
         if not (0.0 < self.alpha < 0.5) or not (0.0 < self.beta < 0.5):
             raise ConfigError("alpha and beta must lie in (0, 0.5)")
-        object.__setattr__(
-            self, "alpha_grid", tuple(float(a) for a in self.alpha_grid)
-        )
-        object.__setattr__(self, "tdc_grid", tuple(float(t) for t in self.tdc_grid))
         for name in ("alpha_grid", "tdc_grid"):
             grid = getattr(self, name)
             if not grid or any(not 0.0 < a <= 0.1 for a in grid):
@@ -205,65 +237,17 @@ class AnalysisConfig:
                     f"{label} = {expected:g} leaves fewer than "
                     f"{taildep.RELIABILITY_FLOOR} expected tail observations"
                 )
-        object.__setattr__(
-            self,
-            "candidates",
-            tuple((str(f), int(r)) for f, r in self.candidates),
-        )
-        # validate eagerly so a bad pattern fails at config time
-        parsed = tuple(_parse_pattern_token(p) for p in self.scenarios)
-        object.__setattr__(
-            self,
-            "scenarios",
-            tuple(b if t == "H" else f"{b}:{t}" for b, t in parsed),
-        )
 
     def to_json_dict(self):
-        return {
-            "hours": list(self.hours),
-            "window_days": self.window_days,
-            "step_days": self.step_days,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "alpha_grid": list(self.alpha_grid),
-            "tdc_grid": list(self.tdc_grid),
-            "n_mc_spearman": self.n_mc_spearman,
-            "n_mc_tdc": self.n_mc_tdc,
-            "n_mc_lambda": self.n_mc_lambda,
-            "n_mc_scenario": self.n_mc_scenario,
-            "n_mc_rolling": self.n_mc_rolling,
-            "seed": self.seed,
-            "indep_test": self.indep_test,
-            "candidates": [list(c) for c in self.candidates],
-            "scenarios": list(self.scenarios),
-            "jobs": self.jobs,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data):
-        """Config from a JSON object; a wrong-typed value is a ``ConfigError``.
-
-        A string or a scalar where a list belongs is rejected rather than
-        split into characters.
-        """
-        kwargs = dict(data)
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
+        """Config from a JSON object, read by the constructor's own rules."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("hours", "alpha_grid", "tdc_grid", "scenarios", "candidates"):
-            if key in kwargs and not isinstance(kwargs[key], (list, tuple)):
-                raise ConfigError(
-                    f"{key} must be a list, not {type(kwargs[key]).__name__}"
-                )
-        try:
-            for key in ("hours", "alpha_grid", "tdc_grid", "scenarios"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            if "candidates" in kwargs:
-                kwargs["candidates"] = tuple(tuple(c) for c in kwargs["candidates"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config value of the wrong type: {exc}") from None
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -404,7 +388,8 @@ def _scenario_patterns_for(config, names):
     out = []
     seen = set()
     for token in config.scenarios:
-        body, target = _parse_pattern_token(token)
+        body, _, target = token.partition(":")
+        target = target or "H"
         if len(body) < n_cond:
             raise ConfigError(
                 f"pattern {token!r} is shorter than the {n_cond} conditioning variables"
@@ -489,18 +474,6 @@ def analyze_hour(panel, config):
     )
 
 
-def _hour_job(args):
-    panel, config = args
-    try:
-        return panel.hour, analyze_hour(panel, config), None
-    except PowerdepError as exc:
-        return panel.hour, None, {
-            "hour": panel.hour,
-            "code": exc.code,
-            "message": str(exc),
-        }
-
-
 def _check_panels(panels, hours):
     missing = [h for h in hours if h not in panels]
     if missing:
@@ -559,34 +532,51 @@ def one_blas_thread():
             set_(count)
 
 
-def _map(unit, tasks, jobs):
-    """``[unit(task) for task in tasks]``, over ``jobs`` worker processes.
+def _contained(unit, task):
+    """``unit(*task)``, or the ``PowerdepError`` that stopped it."""
+    try:
+        return unit(*task)
+    except PowerdepError as exc:
+        return exc
 
-    Runs serially when ``jobs`` is 1 or there is at most one task.  Either
-    way every process computes with one BLAS thread, so the results do not
-    depend on ``jobs``: the worker initializer pins whatever the platform's
-    start method hands over.
+
+def _map(unit, tasks, jobs):
+    """``unit(*task)`` for each task, over ``jobs`` worker processes.
+
+    A task's ``PowerdepError`` takes the place of its result, serially as
+    in the pool.  Runs serially when ``jobs`` is 1 or there is at most one
+    task.  Either way every process computes with one BLAS thread, so the
+    results do not depend on ``jobs``: the worker initializer pins whatever
+    the platform's start method hands over.
     """
     tasks = list(tasks)
+    run = functools.partial(_contained, unit)
     with one_blas_thread():
         if jobs == 1 or len(tasks) <= 1:
-            return [unit(task) for task in tasks]
+            return [run(task) for task in tasks]
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)),
             initializer=_set_blas_threads,
             initargs=(1,),
         ) as pool:
-            return list(pool.map(unit, tasks))
+            return list(pool.map(run, tasks))
+
+
+def _failure(exc, **where):
+    """Record of a contained error: where it happened, its code and message."""
+    return {**where, "code": exc.code, "message": str(exc)}
 
 
 def run_global(panels, config):
     """Analyse every configured hour; failures are contained per hour."""
     _check_panels(panels, config.hours)
-    jobs = [(panels[h], config) for h in sorted(config.hours)]
-    outcomes = _map(_hour_job, jobs, config.jobs)
-    results = tuple(res for _, res, err in outcomes if err is None)
-    failures = tuple(err for _, _, err in outcomes if err is not None)
-    return GlobalRunResult(results=results, failures=failures)
+    hours = sorted(config.hours)
+    outcomes = _map(analyze_hour, [(panels[h], config) for h in hours], config.jobs)
+    failures = [(h, o) for h, o in zip(hours, outcomes) if isinstance(o, PowerdepError)]
+    return GlobalRunResult(
+        results=tuple(o for o in outcomes if not isinstance(o, PowerdepError)),
+        failures=tuple(_failure(exc, hour=h) for h, exc in failures),
+    )
 
 
 def _window_panel(panel, start, length):
@@ -608,14 +598,6 @@ def _model_spearman_all_pairs(panel, config, seed_keys):
     return {
         _pair_label(names, i, j): float(rho[i, j]) for i, j in _variable_pairs(names)
     }
-
-
-def _spearman_job(args):
-    """Pairwise induced Spearman of one sample, or the error that stopped it."""
-    try:
-        return _model_spearman_all_pairs(*args)
-    except PowerdepError as exc:
-        return exc
 
 
 def rolling_hour(panel, config):
@@ -640,35 +622,30 @@ def rolling_hour(panel, config):
         (sub, config, (panel.hour, _SEED_ROLL, w)) for w, sub in enumerate(windows)
     ]
     tasks.append((panel, config, (panel.hour, _SEED_REFERENCE)))
-    *estimates, reference = _map(_spearman_job, tasks, config.jobs)
+    *estimates, reference = _map(_model_spearman_all_pairs, tasks, config.jobs)
     if isinstance(reference, PowerdepError):
         raise reference
 
-    series = {pair: [] for pair in pairs}
-    skipped = []
-    for w, (sub, found) in enumerate(zip(windows, estimates)):
-        if isinstance(found, PowerdepError):
-            skipped.append(
-                {
-                    "window_index": w,
-                    "window_end": sub.dates[-1].isoformat(),
-                    "code": found.code,
-                    "message": str(found),
-                }
-            )
-            found = dict.fromkeys(pairs)
-        for pair in pairs:
-            series[pair].append(found[pair])
-
+    ends = tuple(sub.dates[-1].isoformat() for sub in windows)
+    skipped = tuple(
+        _failure(found, window_index=w, window_end=ends[w])
+        for w, found in enumerate(estimates)
+        if isinstance(found, PowerdepError)
+    )
+    # a skipped window reads None for every pair
+    estimates = [
+        dict.fromkeys(pairs) if isinstance(found, PowerdepError) else found
+        for found in estimates
+    ]
     return RollingResult(
         hour=panel.hour,
         variable_names=names,
         window_days=window,
         step_days=step,
-        window_end_dates=tuple(sub.dates[-1].isoformat() for sub in windows),
-        series={pair: tuple(vals) for pair, vals in series.items()},
+        window_end_dates=ends,
+        series={pair: tuple(found[pair] for found in estimates) for pair in pairs},
         reference=reference,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
 
 

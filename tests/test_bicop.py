@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from powerdep import bicop
-from powerdep.bicop import BivariateCopula
+from powerdep.bicop import EPS, BivariateCopula
 from powerdep.errors import DomainError, FamilyInfeasibleError
+from gumbel_oracle import bisect_hinv
 
 
 def make(family, rotation=0, params=()):
@@ -139,6 +140,30 @@ def test_hfunc_values_are_probabilities(family, rot_idx, u, v, strength):
     for margin in (1, 2):
         h = bicop.hfunc(cop, u, v, margin=margin)
         assert 0.0 <= float(h) <= 1.0
+
+
+# a grid reaching 1e-12 from either end, plus random interior points
+_EDGE_GRID = np.concatenate(
+    [
+        [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99],
+        1.0 - np.array([1e-3, 1e-6, 1e-9, 1e-12]),
+        np.random.default_rng(3).random(20),
+    ]
+)
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-12, 1.001, 1.3, 7.0, 20.0])
+def test_gumbel_hinv_closed_form_matches_bisection(theta):
+    p, v = (a.ravel() for a in np.meshgrid(_EDGE_GRID, _EDGE_GRID))
+    u = bicop._gumbel_hinv_base(p, v, theta)
+    oracle = bisect_hinv(p, v, theta)
+    assert not np.any(np.isnan(u))
+    # where h is flat or steep the two inverses may differ in u, but the
+    # closed form must then round-trip no worse than the bisection
+    close = np.abs(u - oracle) <= 1e-12
+    miss = np.abs(bicop._gumbel_hfunc_base(np.clip(u, EPS, 1 - EPS), v, theta) - p)
+    oracle_miss = np.abs(bicop._gumbel_hfunc_base(oracle, v, theta) - p)
+    assert np.all(close | (miss <= oracle_miss + 1e-12))
 
 
 def test_survival_rotation_identity():

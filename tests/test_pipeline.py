@@ -131,6 +131,15 @@ class TestAnalysisConfig:
             {"window_days": 200.5},
             {"n_mc_lambda": 40000.5},
             {"jobs": True},
+            {"hours": "12"},
+            {"scenarios": "HLL"},
+            {"alpha_grid": "0.1"},
+            {"tdc_grid": 0.05},
+            {"candidates": "gaussian"},
+            {"candidates": (("clayton", 90.5),)},
+            {"candidates": (("gaussian", True),)},
+            {"candidates": (("gumbell", 0),)},
+            {"indep_test": "loose"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -231,7 +240,8 @@ class TestRunGlobal:
         with pytest.raises(ConfigError, match="hours"):
             pipeline.run_global({3: panels[3]}, small_config())
 
-    def test_failures_are_isolated_per_hour(self, panels):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_are_isolated_per_hour(self, panels, jobs):
         vals = panels[3].values.copy()
         vals[:, 1] = 7.5
         broken = dict(panels)
@@ -241,7 +251,7 @@ class TestRunGlobal:
             values=vals,
             variable_names=panels[3].variable_names,
         )
-        res = pipeline.run_global(broken, small_config())
+        res = pipeline.run_global(broken, small_config(jobs=jobs))
         assert [r.hour for r in res.results] == [12]
         assert len(res.failures) == 1
         assert res.failures[0]["hour"] == 3
@@ -498,7 +508,7 @@ class TestBlasPin:
 
     def test_pool_workers_run_on_one_thread(self, two_blas_threads):
         ones = (1,) * len(two_blas_threads)
-        assert pipeline._map(_blas_threads_of, range(4), 2) == [ones] * 4
+        assert pipeline._map(_blas_threads_of, [(k,) for k in range(4)], 2) == [ones] * 4
         assert blas_threads() == two_blas_threads
 
     def test_missing_symbols_make_the_pin_a_no_op(self, two_blas_threads, monkeypatch):
