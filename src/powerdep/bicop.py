@@ -721,15 +721,26 @@ def fit_mle(family, rotation, pseudo_obs):
         If the optimiser fails to converge; the error carries the last
         iterate.
     """
+    _check_candidate(family, rotation)
+    obs = _check_pseudo_obs(pseudo_obs)
+    return _fit_mle(family, rotation, obs, _kendall_tau(obs))
+
+
+def _check_candidate(family, rotation):
     if family not in FAMILIES:
         raise DomainError(f"unknown copula family {family!r}")
     if rotation not in ROTATIONS:
         raise DomainError(f"rotation must be one of {ROTATIONS}")
-    obs = _check_pseudo_obs(pseudo_obs)
-    n = obs.shape[0]
-    tau_hat, _ = stats.kendalltau(obs[:, 0], obs[:, 1])
-    tau_hat = float(tau_hat)
 
+
+def _kendall_tau(obs):
+    """Kendall's tau of the two columns of checked pseudo-observations."""
+    return float(stats.kendalltau(obs[:, 0], obs[:, 1]).statistic)
+
+
+def _fit_mle(family, rotation, obs, tau_hat):
+    """``fit_mle`` on checked pseudo-observations whose Kendall tau is known."""
+    n = obs.shape[0]
     sign = _required_sign(family, rotation)
     if sign > 0 and tau_hat < 0:
         raise FamilyInfeasibleError(
@@ -862,24 +873,28 @@ class SelectionResult:
     warnings: list = field(default_factory=list)
 
 
-def select_family_aic(pseudo_obs, candidates=DEFAULT_CANDIDATES):
+def select_family_aic(pseudo_obs, candidates=DEFAULT_CANDIDATES, *, tau=None):
     """Pick the AIC-best family among candidates.
 
     Candidates failing with a feasibility or convergence error are skipped
     and recorded in ``warnings``.  Ties in AIC resolve to the earliest
-    candidate in the given order.
+    candidate in the given order.  Every candidate fit reads one Kendall
+    tau: ``tau`` when the caller already has it for these
+    pseudo-observations, else the one computed here.
 
     Returns
     -------
     SelectionResult
     """
     obs = _check_pseudo_obs(pseudo_obs)
+    tau_hat = _kendall_tau(obs) if tau is None else float(tau)
     table = []
     warnings = []
     fits = []
     for order, (family, rotation) in enumerate(candidates):
+        _check_candidate(family, rotation)
         try:
-            fit = fit_mle(family, rotation, obs)
+            fit = _fit_mle(family, rotation, obs, tau_hat)
         except (FamilyInfeasibleError, OptimizationError) as exc:
             warnings.append(f"{family}@{rotation}: {exc.message}")
             table.append(

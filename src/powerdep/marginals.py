@@ -12,7 +12,11 @@ the mean residuals, the variance path started at their sample variance,
 and the Gaussian negative log-likelihood.  The optimiser's objective,
 the fitted paths, ``ar_garch_loglik``, ``filter_residuals`` and the
 refiltering in ``MarginalFit.from_json_dict`` all go through it, so a
-refiltered series reproduces the fit's own paths exactly.
+refiltered series reproduces the fit's own paths exactly.  The optimiser
+also gets the exact score: ``_garch_score`` takes the filter's residuals
+and variance path and returns the gradient from one reverse pass of the
+variance recursion (Fiorentini, Calzolari & Panattoni 1996, J. Appl.
+Econometrics), in O(T k) instead of k + 1 filter passes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .errors import (
 _STATIONARITY_GAP = 1e-6
 
 _PIT_CLIP = 1e-12
+
+#: floor of the initial variance sigma2[0] = var(eps)
+_VAR_FLOOR = 1e-300
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -210,11 +217,34 @@ def _garch_filter(design, target, mean, omega, alpha, beta):
     logarithm is taken.
     """
     eps = target - design @ mean
-    sigma2_init = max(float(np.var(eps)), 1e-300)
+    sigma2_init = max(float(np.var(eps)), _VAR_FLOOR)
     sigma2 = _garch_path(eps, omega, alpha, beta, sigma2_init)
     if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0.0):
         return eps, sigma2, np.inf
     return eps, sigma2, 0.5 * np.sum(_LOG_2PI + np.log(sigma2) + eps * eps / sigma2)
+
+
+def _garch_score(design, eps, sigma2, alpha, beta):
+    """Gradient of ``_garch_filter``'s negative log-likelihood.
+
+    Takes the filter's residuals ``eps`` and variance path ``sigma2`` and
+    returns the derivatives with respect to (mean, omega, alpha, beta).
+    The adjoint lam_t = d nll / d sigma2_t solves lam_t = g_t +
+    beta lam_{t+1}, with g_t = (1/sigma2_t - eps_t^2/sigma2_t^2) / 2, in
+    one reverse pass of the variance recursion.  A mean coefficient acts
+    on eps_t directly, through the ARCH drive of sigma2_{t+1}, and
+    through sigma2_0 = var(eps) unless the variance floor binds.
+    """
+    w = 1.0 / sigma2
+    g = 0.5 * w * (1.0 - eps * eps * w)
+    lam = lfilter([1.0], [1.0, -beta], g[::-1])[::-1]
+    lead = lam[1:]
+    # d nll / d eps_t, so that d nll / d mean = -design.T @ d_eps
+    d_eps = eps * w
+    d_eps[:-1] += 2.0 * alpha * lead * eps[:-1]
+    if sigma2[0] > _VAR_FLOOR:
+        d_eps += lam[0] * 2.0 / eps.size * (eps - eps.mean())
+    return -(design.T @ d_eps), lead.sum(), lead @ (eps[:-1] ** 2), lead @ sigma2[:-1]
 
 
 def _unpack(x, n_mean):
@@ -223,6 +253,29 @@ def _unpack(x, n_mean):
     total = (1.0 - _STATIONARITY_GAP) * special.expit(x[n_mean + 1])
     frac = special.expit(x[n_mean + 2])
     return mean, omega, total * frac, total * (1.0 - frac)
+
+
+def _negloglik(x, design, target):
+    """Optimiser objective in the unconstrained ``x`` and its exact gradient.
+
+    A variance path that is not finite and positive reads ``1e10`` with
+    a zero gradient.
+    """
+    n_mean = design.shape[1]
+    mean, omega, alpha, beta = _unpack(x, n_mean)
+    eps, sigma2, val = _garch_filter(design, target, mean, omega, alpha, beta)
+    if not np.isfinite(val):
+        return 1e10, np.zeros_like(x)
+    d_mean, d_omega, d_alpha, d_beta = _garch_score(design, eps, sigma2, alpha, beta)
+    # chain rule through _unpack: alpha = total * frac, beta = total * (1 - frac),
+    # d total / dx = total * expit(-x), d frac / dx = frac * (1 - frac);
+    # d_total is total * d nll / d total
+    total, frac = alpha + beta, special.expit(x[n_mean + 2])
+    d_total = (d_alpha * frac + d_beta * (1.0 - frac)) * total
+    d_frac = (d_alpha - d_beta) * total * frac * (1.0 - frac)
+    return val, np.concatenate(
+        [d_mean, [d_omega * omega, d_total * special.expit(-x[n_mean + 1]), d_frac]]
+    )
 
 
 def _pack(mean, omega, alpha, beta):
@@ -280,20 +333,15 @@ def fit_ar_garch(series, dummies, spec):
 
     alpha0, beta0 = 0.05, 0.85
     omega0 = var0 * (1.0 - alpha0 - beta0)
-    x0 = _pack(mean0, omega0, alpha0, beta0)
-    n_mean = mean0.size
-
-    def negloglik(x):
-        _, _, val = _garch_filter(design, target, *_unpack(x, n_mean))
-        return val if np.isfinite(val) else 1e10
-
     res = optimize.minimize(
-        negloglik,
-        x0,
+        _negloglik,
+        _pack(mean0, omega0, alpha0, beta0),
+        args=(design, target),
+        jac=True,
         method="L-BFGS-B",
         options={"maxiter": 500, "ftol": 1e-8},
     )
-    mean, omega, alpha, beta = _unpack(res.x, n_mean)
+    mean, omega, alpha, beta = _unpack(res.x, mean0.size)
     if not res.success and "ABNORMAL" in str(res.message).upper():
         raise OptimizationError(
             f"AR-GARCH optimisation failed: {res.message}",

@@ -225,6 +225,15 @@ class AnalysisConfig:
                 raise ConfigError(f"{name} must be non-empty and lie in (0, 0.1]")
         if any(b >= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ConfigError("alpha_grid must be strictly decreasing")
+        # a pattern needs a letter for every conditioning variable of every
+        # configured hour: demand, wind and solar at a quadrivariate hour
+        n_cond = 3 if any(h in SOLAR_HOURS for h in hours) else 2
+        for token in self.scenarios:
+            if len(token.partition(":")[0]) < n_cond:
+                raise ConfigError(
+                    f"pattern {token!r} is shorter than the {n_cond} "
+                    "conditioning variables of the configured hours"
+                )
         # every hour would fail these after its full fit: too few expected
         # tail rows at the loosest level a measure can use
         for label, expected in (
@@ -416,7 +425,11 @@ def analyze_hour(panel, config):
     fits, model = fit_hour(panel, config)
     names = panel.variable_names
     hour = panel.hour
-    warnings = []
+    warnings = [
+        f"{name}: AR-GARCH fit did not converge: {fit.diagnostics['message']}"
+        for name, fit in fits.items()
+        if not fit.converged
+    ]
     for edge, meta in model.fit_meta.items():
         for note in meta.get("warnings", ()):
             warnings.append(f"{edge.label()}: {note}")

@@ -321,6 +321,7 @@ def _fit_edge(u_x, u_y, candidates, indep_level):
     gets the independence copula outright, as in the standard sequential
     vine toolchain; pass ``indep_level=None`` for pure AIC selection.
     """
+    tau = None
     if indep_level is not None:
         test = stats.kendalltau(u_x, u_y)
         p_value = 1.0 if np.isnan(test.pvalue) else float(test.pvalue)
@@ -336,7 +337,8 @@ def _fit_edge(u_x, u_y, candidates, indep_level):
                 "indep_test_p": p_value,
             }
             return cop, meta
-    sel = select_family_aic(np.column_stack([u_x, u_y]), candidates)
+        tau = test.statistic  # every candidate fit reads the test's tau
+    sel = select_family_aic(np.column_stack([u_x, u_y]), candidates, tau=tau)
     best = sel.best
     meta = {
         "loglik": best.loglik,

@@ -6,10 +6,16 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from garch_fd_oracle import fd_fit_negloglik
+from powerdep import cli, pipeline
+from powerdep.data_ingest import build_dummies, slice_hour
 from powerdep.errors import DegenerateSeriesError, DomainError
 from powerdep.marginals import (
     MarginalFit,
     MarginalSpec,
+    _design,
+    _negloglik,
+    _pack,
     ar_garch_loglik,
     build_fit_from_params,
     filter_residuals,
@@ -168,6 +174,86 @@ class TestFilter:
         y = make_series(TRUE_PARAMS, 1000, seed=23)
         fit = fit_ar_garch(y, None, SPEC1)
         assert np.array_equal(filter_residuals(fit, y), filter_residuals(fit, y))
+
+
+def _price_like_design(seed, length=730):
+    """Design and target of a simulated price-like series: lags (1, 2, 7), 14 dummies."""
+    spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=14)
+    rng = np.random.default_rng(seed)
+    dmat = (rng.random((length, 14)) < 0.3).astype(float)
+    true = build_fit_from_params(
+        spec, [0.4, 0.2, 0.1], rng.normal(scale=0.5, size=14), 0.1, 0.1, 0.8
+    )
+    y = simulate_ar_garch(true, dmat, length, seed=seed)
+    return _design(y, dmat, spec.lag_set)
+
+
+def _central_differences(fun, x):
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = 1e-5 * max(1.0, abs(x[i]))
+        grad[i] = (fun(x + step) - fun(x - step)) / (2.0 * step[i])
+    return grad
+
+
+class TestScore:
+    # x = (mean..., log omega, logit total, logit frac); +-12 puts frac
+    # within 1e-5 of 0 or 1 and alpha + beta within 1e-5 of its cap
+    @pytest.mark.parametrize(
+        "logit_total,logit_frac",
+        [(0.5, 0.3), (2.0, -12.0), (2.0, 12.0), (12.0, -1.0), (12.0, 12.0), (-3.0, 0.0)],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_score_matches_central_differences(self, seed, logit_total, logit_frac):
+        design, target = _price_like_design(seed)
+        rng = np.random.default_rng(100 + seed)
+        mean = rng.normal(scale=0.3, size=design.shape[1])
+        x = np.concatenate([mean, [rng.normal(-1.0, 0.5), logit_total, logit_frac]])
+        val, score = _negloglik(x, design, target)
+        assert np.isfinite(val) and val < 1e10
+        numeric = _central_differences(lambda z: _negloglik(z, design, target)[0], x)
+        # atol: the rounding noise of the differences, val * 1e-16 / step
+        assert_allclose(score, numeric, rtol=1e-6, atol=1e-8 * np.abs(numeric).max())
+
+    def test_score_at_the_fitted_optimum_is_small(self):
+        y = make_series(TRUE_PARAMS, 1500, seed=3)
+        fit = fit_ar_garch(y, None, SPEC1)
+        design, target = _design(y, np.zeros((y.size, 0)), SPEC1.lag_set)
+        x = _pack(fit.phi, fit.omega, fit.alpha, fit.beta)
+        val, score = _negloglik(x, design, target)
+        assert_allclose(-val, fit.loglik, rtol=1e-9)
+        assert np.abs(score).max() < 1e-2
+
+    def test_non_finite_variance_path_reads_1e10_with_zero_score(self):
+        design, target = _price_like_design(1)
+        x = np.concatenate([np.zeros(design.shape[1]), [800.0, 0.0, 0.0]])
+        with np.errstate(over="ignore"):  # omega = exp(800) is inf
+            val, score = _negloglik(x, design, target)
+        assert val == 1e10
+        assert np.array_equal(score, np.zeros_like(x))
+
+
+@pytest.fixture(scope="module")
+def rolling_quad_windows():
+    """Window panels of the rolling study on 750 synthetic days at hour 12."""
+    records = cli.generate_synthetic_records(750, 1, flavor="gaussian", hours=(12,))
+    panel = slice_hour(records, 12)
+    return [pipeline._window_panel(panel, w, 730) for w in (0, 10, 20)] + [panel]
+
+
+class TestScoreFit:
+    def test_fit_matches_finite_difference_fit_on_rolling_windows(
+        self, rolling_quad_windows
+    ):
+        for panel in rolling_quad_windows:
+            dummies = build_dummies(panel.dates)
+            for name in panel.variable_names:
+                spec = MarginalSpec.for_variable(name)
+                fit = fit_ar_garch(panel.column(name), dummies, spec)
+                reference = fd_fit_negloglik(panel.column(name), dummies, spec)
+                assert fit.converged and reference.success
+                assert abs(fit.loglik + reference.fun) <= 1e-3, (name, panel.dates[-1])
 
 
 PIT_CASES = [

@@ -146,6 +146,16 @@ class TestAnalysisConfig:
         with pytest.raises(ConfigError):
             AnalysisConfig(**kwargs)
 
+    def test_pattern_needs_a_letter_per_conditioning_variable(self):
+        # a quadrivariate hour conditions on demand, wind and solar
+        with pytest.raises(ConfigError, match="shorter than the 3"):
+            AnalysisConfig(scenarios=("HL",), hours=(12,))
+        with pytest.raises(ConfigError, match="shorter than the 3"):
+            AnalysisConfig(scenarios=("HLL", "LH:L"), hours=(3, 12))
+        with pytest.raises(ConfigError, match="shorter than the 2"):
+            AnalysisConfig(scenarios=("H",), hours=(3,))
+        assert AnalysisConfig(scenarios=("HL",), hours=(3,)).scenarios == ("HL",)
+
     def test_pattern_normalization(self):
         cfg = AnalysisConfig(scenarios=("hll", "LHH:l", "HHL:H"))
         assert cfg.scenarios == ("HLL", "LHH:L", "HHL")
@@ -296,6 +306,29 @@ class TestRunGlobal:
         )
         brute = tail_json(pipeline.analyze_hour(panels[12], config))
         assert fast == brute
+
+    def test_nonconverged_marginal_is_a_warning(self, panels, global_result, monkeypatch):
+        real_fit = pipeline.fit_ar_garch
+        wind = panels[3].column("wind")
+
+        def wind_stalls(series, dummies, spec):
+            fit = real_fit(series, dummies, spec)
+            if np.array_equal(series, wind):
+                fit.converged = False
+                fit.diagnostics["message"] = "STOP: TOTAL NO. OF ITERATIONS EXCEEDS LIMIT"
+            return fit
+
+        monkeypatch.setattr(pipeline, "fit_ar_garch", wind_stalls)
+        result = pipeline.analyze_hour(panels[3], small_config(hours=(3,)))
+        assert result.warnings[0] == (
+            "wind: AR-GARCH fit did not converge: "
+            "STOP: TOTAL NO. OF ITERATIONS EXCEEDS LIMIT"
+        )
+        assert sum("AR-GARCH" in w for w in result.warnings) == 1
+        # converged fits add no warning
+        assert not any(
+            "AR-GARCH" in w for res in global_result.results for w in res.warnings
+        )
 
     def test_hour_variable_split_enforced_structurally(self):
         with pytest.raises(DomainError):

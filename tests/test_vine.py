@@ -285,6 +285,25 @@ class TestFit:
             analytic = 6.0 / np.pi * np.arcsin(rho / 2.0)
             assert abs(implied - analytic) < 0.04
 
+    @pytest.mark.parametrize("indep_level", [None, vine.INDEP_TEST_LEVEL])
+    def test_edge_computes_kendall_tau_once(self, indep_level, monkeypatch):
+        u = gaussian_sample(RHO_3D, 400, seed=8)
+        expected = vine._fit_edge(u[:, 0], u[:, 1], bicop.DEFAULT_CANDIDATES, indep_level)
+        calls = []
+        kendalltau = stats.kendalltau
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kendalltau(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "kendalltau", counted)
+        copula, meta = vine._fit_edge(
+            u[:, 0], u[:, 1], bicop.DEFAULT_CANDIDATES, indep_level
+        )
+        assert len(calls) == 1
+        assert (copula, meta) == expected
+        assert meta["family"] != "independence"
+
     def test_fit_follows_given_structure(self):
         u = gaussian_sample(RHO_3D, 1200, seed=33)
         structure = VineStructure(
