@@ -772,9 +772,10 @@ def _fit_mle(family, rotation, obs, tau_hat):
     tau_init = _tau_init(family, _concordance_sign(rotation) * tau_hat)
 
     if family == "studentt":
-        params, loglik, converged = _fit_studentt(u, v, tau_init)
+        params, loglik, converged, extra = _fit_studentt(u, v, tau_init)
     else:
         params, loglik, converged = _fit_one_param(family, u, v, tau_init)
+        extra = {}
 
     if not converged:
         raise OptimizationError(
@@ -797,7 +798,7 @@ def _fit_mle(family, rotation, obs, tau_hat):
         n_obs=n,
         converged=True,
         boundary=boundary,
-        diagnostics={"tau": tau_hat, "tau_init": tau_init},
+        diagnostics={"tau": tau_hat, "tau_init": tau_init, **extra},
     )
 
 
@@ -820,48 +821,103 @@ def _fit_one_param(family, u, v, tau_init):
     return (theta,), -float(res.fun), bool(res.success)
 
 
+def _t_rho_derivs(sq, cross, nu, rho):
+    """Score and curvature in rho of the summed Student-t copula log density.
+
+    ``sq`` is x^2 + y^2 and ``cross`` is x * y for the t quantiles x, y, one
+    row per nu; ``nu`` and ``rho`` are (k, 1) columns.  With s = 1 - rho^2
+    and D = nu s + sq - 2 rho cross, the log density is a constant plus
+    (nu + 1)/2 log s - (nu + 2)/2 log D.  Returns two length-k arrays.
+    """
+    n = sq.shape[1]
+    omr2 = 1.0 - rho * rho
+    denom = nu * omr2 + sq - 2.0 * rho * cross
+    ratio = (nu * rho + cross) / denom
+    score = -n * (nu + 1.0) * rho / omr2 + (nu + 2.0) * ratio.sum(axis=1, keepdims=True)
+    curv = -n * (nu + 1.0) * (1.0 + rho * rho) / (omr2 * omr2) + (nu + 2.0) * (
+        nu / denom + 2.0 * ratio * ratio
+    ).sum(axis=1, keepdims=True)
+    return score[:, 0], curv[:, 0]
+
+
+def _t_profile(qx, qy, nu, rho0):
+    """Maximise the Student-t copula log-likelihood in rho for each row of nu.
+
+    ``qx`` and ``qy`` hold the t quantiles of the two margins, shape (k, n),
+    one row per entry of the (k, 1) column ``nu``.  Every row starts at
+    ``rho0`` and takes safeguarded Newton steps on the closed-form score:
+    steps are clipped to +-0.2, a non-negative curvature gives a 0.05 step
+    uphill, and rho stays within its bounds.  A row stops once its step
+    falls below 1e-12; rows are solved independently.
+
+    Returns
+    -------
+    rho, loglik : ndarray, shape (k,)
+    converged : ndarray of bool, shape (k,)
+    iters : ndarray of int, shape (k,)
+        Newton steps taken by each row.
+    """
+    lo, hi = _PARAM_BOUNDS["studentt"][0]
+    sq = qx * qx + qy * qy
+    cross = qx * qy
+    k = qx.shape[0]
+    rho = np.full(k, float(rho0))
+    converged = np.zeros(k, dtype=bool)
+    iters = np.zeros(k, dtype=np.int64)
+    active = np.arange(k)
+    for _ in range(100):
+        r = rho[active]
+        score, curv = _t_rho_derivs(sq[active], cross[active], nu[active], r[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(-score / curv, -0.2, 0.2)
+        step = np.where(curv < 0.0, newton, 0.05 * np.sign(score))
+        new = np.clip(r + step, lo, hi)
+        rho[active] = new
+        iters[active] += 1
+        done = np.abs(new - r) < 1e-12
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    loglik = _t_logpdf_quant(qx, qy, rho[:, None], nu).sum(axis=1)
+    return rho, loglik, converged, iters
+
+
 def _fit_studentt(u, v, tau_init):
-    # profile likelihood over a log-spaced nu grid, then a local refinement
-    rho_bounds = _PARAM_BOUNDS["studentt"][0]
+    # profile likelihood over a log-spaced nu grid, then a local refinement;
+    # each profile point is a Newton solve in rho on the nu-dependent quantiles
     nu_lo, nu_hi = _PARAM_BOUNDS["studentt"][1]
-    rho0 = float(np.clip(tau_init, *rho_bounds))
+    rho0 = float(np.clip(tau_init, *_PARAM_BOUNDS["studentt"][0]))
+    evals = {}  # nu -> (rho, loglik, converged, Newton steps)
 
-    def profile(nu):
-        # the t quantiles depend on nu only; hoist them out of the rho search
-        qx = special.stdtrit(nu, u)
-        qy = special.stdtrit(nu, v)
-
-        def nll(x):
-            return -float(np.sum(_t_logpdf_quant(qx, qy, x[0], nu)))
-
-        res = optimize.minimize(
-            nll,
-            x0=[rho0],
-            method="L-BFGS-B",
-            bounds=[rho_bounds],
-            options={"maxiter": 100, "ftol": 1e-10},
-        )
-        return float(res.x[0]), -float(res.fun), bool(res.success)
+    def profile(nus):
+        col = np.reshape(nus, (-1, 1))
+        fit = _t_profile(special.stdtrit(col, u), special.stdtrit(col, v), col, rho0)
+        evals.update(zip(col[:, 0].tolist(), zip(*(a.tolist() for a in fit))))
+        return fit[1]
 
     grid = np.geomspace(nu_lo, nu_hi, 12)
-    evals = [profile(nu) for nu in grid]
-    logliks = np.array([e[1] for e in evals])
+    logliks = profile(grid)
     best = int(np.argmax(logliks))
 
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, len(grid) - 1)]
     refine = optimize.minimize_scalar(
-        lambda nu: -profile(nu)[1],
+        lambda nu: -profile(nu)[0],
         bounds=(bracket_lo, bracket_hi),
         method="bounded",
         options={"xatol": 1e-3},
     )
+    # bounded Brent returns the best point it evaluated
     nu_hat = float(refine.x)
-    rho_hat, loglik, ok = profile(nu_hat)
-    if loglik < logliks[best]:
+    if evals[nu_hat][1] < logliks[best]:
         nu_hat = float(grid[best])
-        rho_hat, loglik, ok = evals[best][0], evals[best][1], evals[best][2]
-    return (rho_hat, nu_hat), loglik, ok
+    rho_hat, loglik, ok, _ = evals[nu_hat]
+    diagnostics = {
+        "nu_evals": len(evals),
+        "newton_iters": sum(e[3] for e in evals.values()),
+    }
+    return (rho_hat, nu_hat), loglik, ok, diagnostics
 
 
 @dataclass

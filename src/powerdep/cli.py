@@ -659,7 +659,9 @@ def main(argv=None):
         args.cfg = cfg
         args.out = args.out or os.environ.get(OUT_ENV) or os.getcwd()
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        # every verb's fits run on one BLAS thread, as the studies' do
+        with pipeline.one_blas_thread():
+            return args.func(args)
     except PowerdepError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict()) + "\n")
         return 1

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from powerdep import bicop
 from powerdep.bicop import EPS, BivariateCopula
-from powerdep.errors import DomainError, FamilyInfeasibleError
+from powerdep.errors import DomainError, FamilyInfeasibleError, OptimizationError
 from gumbel_oracle import bisect_hinv
+from studentt_oracle import lbfgsb_fit_studentt
 
 
 def make(family, rotation=0, params=()):
@@ -397,6 +398,122 @@ def test_fit_studentt_recovers_rho_and_nu():
     fit = bicop.fit_mle("studentt", 0, data)
     assert_allclose(fit.copula.params[0], 0.5, atol=0.05)
     assert 2.5 < fit.copula.params[1] < 8.0
+
+
+def _data_with_rho(family, rho, n, seed):
+    """Pairs whose Kendall tau is that of a Gaussian copula with correlation rho."""
+    if family == "studentt":
+        cop = make("studentt", 0, (rho, 4.0))
+    elif family == "gaussian":
+        cop = make("gaussian", 0, (rho,))
+    else:
+        tau = abs(2.0 / np.pi * np.arcsin(rho))
+        cop = make("clayton", 0 if rho > 0 else 90, (2.0 * tau / (1.0 - tau),))
+    return bicop.sample(cop, n, seed=seed)
+
+
+ORACLE_CASES = [
+    (family, n, rho)
+    for family in ("studentt", "gaussian", "clayton")
+    for n in (50, 730, 1000)
+    for rho in (-0.9, -0.3, 0.1, 0.6, 0.95)
+]
+
+
+def _assert_matches_oracle(data):
+    fit = bicop.fit_mle("studentt", 0, data)
+    u, v = np.clip(data, EPS, 1.0 - EPS).T
+    (rho, nu), loglik, ok = lbfgsb_fit_studentt(u, v, fit.diagnostics["tau_init"])
+    assert ok
+    assert abs(fit.copula.params[0] - rho) <= 1e-6
+    # the refinement over nu stops at xatol 1e-3
+    assert abs(fit.copula.params[1] - nu) <= 5e-3
+    assert fit.loglik >= loglik - 1e-8
+    return nu
+
+
+@pytest.mark.parametrize("family,n,rho", ORACLE_CASES)
+def test_studentt_fit_matches_profile_oracle(family, n, rho):
+    _assert_matches_oracle(_data_with_rho(family, rho, n, seed=ORACLE_CASES.index((family, n, rho))))
+
+
+def test_studentt_fit_matches_profile_oracle_at_the_nu_bounds():
+    # Gaussian data push nu to its upper bound, heavy t tails below 3
+    assert _assert_matches_oracle(_data_with_rho("gaussian", 0.5, 2000, seed=70)) == 30.0
+    heavy = bicop.sample(make("studentt", 0, (0.3, 2.5)), 2000, seed=71)
+    assert _assert_matches_oracle(heavy) < 3.0
+
+
+def _five_point(fun, x, h):
+    """Central differences of order h^4: first and second derivative."""
+    f = {k: fun(x + k * h) for k in (-2, -1, 0, 1, 2)}
+    first = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h)
+    second = (-f[-2] + 16.0 * f[-1] - 30.0 * f[0] + 16.0 * f[1] - f[2]) / (12.0 * h * h)
+    return first, second
+
+
+EDGE = 1.0 - 1e-6
+SCORE_RHOS = [
+    *np.random.default_rng(5).uniform(-0.99, 0.99, 4).tolist(),
+    EDGE - 3e-6,
+    -(EDGE - 8e-6),
+    EDGE - 1e-5,
+]
+
+
+@pytest.mark.parametrize("nu", [2.1, 5.0, 30.0])
+@pytest.mark.parametrize("rho", SCORE_RHOS)
+def test_t_profile_score_and_curvature_match_central_differences(nu, rho):
+    u, v = bicop.sample(make("studentt", 0, (0.4, 4.0)), 300, seed=17).T
+    x = special.stdtrit(nu, u)
+    y = special.stdtrit(nu, v)
+    score, curv = bicop._t_rho_derivs(
+        (x * x + y * y)[None], (x * y)[None], np.array([[nu]]), np.array([[rho]])
+    )
+    # a step 1% of the distance to +-1: rounding noise grows as the step shrinks
+    first, second = _five_point(
+        lambda r: float(np.sum(bicop._t_logpdf_quant(x, y, r, nu))), rho, 1e-2 * (1.0 - abs(rho))
+    )
+    assert_allclose(score[0], first, rtol=1e-6)
+    assert_allclose(curv[0], second, rtol=1e-6)
+
+
+def test_t_profile_rows_are_independent_newton_solves():
+    u, v = bicop.sample(make("studentt", 0, (-0.6, 6.0)), 500, seed=23).T
+    nus = np.geomspace(2.1, 30.0, 12)[:, None]
+    qx, qy = special.stdtrit(nus, u), special.stdtrit(nus, v)
+    rho, loglik, ok, iters = bicop._t_profile(qx, qy, nus, -0.3)
+    assert ok.all() and (iters > 0).all()
+    for i in range(nus.shape[0]):
+        one = bicop._t_profile(qx[i : i + 1], qy[i : i + 1], nus[i : i + 1], -0.3)
+        assert (one[0][0], one[1][0]) == (rho[i], loglik[i])
+        score, _ = bicop._t_rho_derivs(
+            (qx[i] ** 2 + qy[i] ** 2)[None], (qx[i] * qy[i])[None], nus[i : i + 1], rho[i : i + 1, None]
+        )
+        assert abs(score[0]) < 1e-6 * u.size
+
+
+def test_studentt_fit_reports_profile_work():
+    data = bicop.sample(make("studentt", 0, (0.5, 4.0)), 730, seed=8)
+    fit = bicop.fit_mle("studentt", 0, data)
+    # the 12-point grid, then the refinement's own evaluations
+    assert fit.diagnostics["nu_evals"] > 12
+    assert fit.diagnostics["newton_iters"] >= fit.diagnostics["nu_evals"]
+
+
+def test_unconverged_t_profile_raises_optimization_error(monkeypatch):
+    profile = bicop._t_profile
+
+    def never_converges(qx, qy, nu, rho0):
+        rho, loglik, ok, iters = profile(qx, qy, nu, rho0)
+        return rho, loglik, np.zeros_like(ok), iters
+
+    monkeypatch.setattr(bicop, "_t_profile", never_converges)
+    data = bicop.sample(make("studentt", 0, (0.5, 4.0)), 500, seed=8)
+    with pytest.raises(OptimizationError) as info:
+        bicop.fit_mle("studentt", 0, data)
+    rho, nu = info.value.last_params
+    assert -1.0 < rho < 1.0 and 2.1 <= nu <= 30.0
 
 
 def test_fit_clayton_on_negative_tau_is_infeasible():

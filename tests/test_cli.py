@@ -7,6 +7,7 @@ import pytest
 from powerdep import cli, pipeline, taildep, vine
 from powerdep.data_ingest import HourlyPanel, slice_hour
 from powerdep.errors import ConfigError
+from conftest import blas_threads
 
 
 def invoke(argv, capsys):
@@ -173,6 +174,25 @@ class TestFitVerbs:
         assert price["spec"]["lag_set"] == [1, 2, 7]
         assert len(price["params"]["phi"]) == 3
         assert price["diagnostics"]["converged"] is True
+
+    def test_verbs_fit_on_one_blas_thread_and_restore_the_count(
+        self, data_csv, tmp_path, capsys, two_blas_threads, monkeypatch
+    ):
+        seen = []
+        fit_marginals = pipeline.fit_marginals
+
+        def fit_recording(panel):
+            seen.append(blas_threads())
+            return fit_marginals(panel)
+
+        monkeypatch.setattr(pipeline, "fit_marginals", fit_recording)
+        code, _, _ = invoke(
+            ["fit-marginals", "--data", data_csv, "--hour", "3", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert seen == [(1,) * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
 
     def test_fit_vine_is_deterministic(self, data_csv, tmp_path, capsys):
         for name in ("a", "b"):

@@ -15,6 +15,7 @@ from powerdep.pipeline import (
     RollingResult,
     window_count,
 )
+from conftest import blas_threads
 from counting_oracle import brute_counts
 
 
@@ -491,27 +492,8 @@ class TestRunRolling:
             )
 
 
-def blas_threads(controls=None):
-    """Thread count of each OpenBLAS the pipeline reaches."""
-    return tuple(get() for get, _ in controls or pipeline._openblas_controls())
-
-
 def _blas_threads_of(task):
     return blas_threads()
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every reachable OpenBLAS on two threads for the test, then as before."""
-    controls = pipeline._openblas_controls()
-    before = blas_threads(controls)
-    if not before:
-        pytest.skip("no reachable OpenBLAS")
-    for _, set_ in controls:
-        set_(2)
-    yield (2,) * len(before)
-    for (_, set_), count in zip(controls, before):
-        set_(count)
 
 
 class TestBlasPin:
