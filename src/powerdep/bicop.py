@@ -1,11 +1,11 @@
 """Bivariate copula families with rotations, fitting and selection.
 
 Families: independence, gaussian, studentt, clayton, gumbel, frank.
-Every family supports cdf, density, h-functions (conditional CDFs), their
-inverses, sampling, Kendall/Spearman measures and tail dependence
-coefficients.  Rotations of 90/180/270 degrees remap the unit square so
-that single-corner families can capture the other corners and negative
-dependence.
+Every family has a log density, which the fit maximises, and
+h-functions (conditional CDFs) with their inverses, which vine fitting
+and simulation chain.  Rotations of 90/180/270 degrees remap the unit
+square so that single-corner families can capture the other corners and
+negative dependence.
 
 Each family's unrotated math is one row of ``_BASE``.  One reflection
 rule serves every rotation: 90 or 180 reflects u, 180 or 270 reflects v
@@ -90,10 +90,7 @@ class BivariateCopula:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown copula family {self.family!r}")
-        if self.rotation not in ROTATIONS:
-            raise DomainError(f"rotation must be one of {ROTATIONS}")
+        _check_candidate(self.family, self.rotation)
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
         _validate_params(self.family, params)
@@ -101,21 +98,6 @@ class BivariateCopula:
     @property
     def n_params(self):
         return _N_PARAMS[self.family]
-
-    def cdf(self, u, v):
-        return cdf(self, u, v)
-
-    def pdf(self, u, v):
-        return pdf(self, u, v)
-
-    def hfunc(self, u, v, margin=2):
-        return hfunc(self, u, v, margin)
-
-    def hinv(self, p, w, margin=2):
-        return hinv(self, p, w, margin)
-
-    def sample(self, n, seed):
-        return sample(self, n, seed)
 
     def to_json_dict(self):
         return {
@@ -164,26 +146,6 @@ def _clip_unit(x, name="argument"):
 # ---------------------------------------------------------------------------
 # base-family math (unrotated, exchangeable in (u, v))
 # ---------------------------------------------------------------------------
-
-
-def _gauss_cdf_base(u, v, rho):
-    # Bivariate normal probability via the Plackett identity
-    #   d Phi2 / d rho = phi2(h, k; rho)
-    # integrated from independence with Gauss-Legendre nodes.  Smooth in
-    # rho, no sign special cases, and accurate far below the 1e-4
-    # finite-difference tolerance used in the tests.
-    h = special.ndtri(u)
-    k = special.ndtri(v)
-    n_nodes = 64 if abs(rho) <= 0.9 else 256
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    r = 0.5 * rho * (nodes + 1.0)
-    w = 0.5 * rho * weights
-    hh = h[..., None]
-    kk = k[..., None]
-    omr2 = 1.0 - r * r
-    dens = np.exp(-(hh * hh - 2.0 * r * hh * kk + kk * kk) / (2.0 * omr2))
-    dens /= 2.0 * np.pi * np.sqrt(omr2)
-    return special.ndtr(h) * special.ndtr(k) + (dens * w).sum(axis=-1)
 
 
 def _gauss_logpdf_base(u, v, rho):
@@ -244,28 +206,6 @@ def _t_hinv_base(p, v, rho, nu):
     return special.stdtr(nu, x)
 
 
-def _t_cdf_base(u, v, rho, nu):
-    # integrate the closed-form conditional over the second coordinate;
-    # deterministic quadrature keeps the result smooth enough for
-    # finite-difference consistency with the h-function.
-    u_arr = np.asarray(u, dtype=np.float64)
-    v_arr = np.asarray(v, dtype=np.float64)
-    out = np.empty(np.broadcast(u_arr, v_arr).shape)
-    flat = out.reshape(-1)
-    ub, vb = np.broadcast_arrays(u_arr, v_arr)
-    for i, (ui, vi) in enumerate(zip(ub.reshape(-1), vb.reshape(-1))):
-        val, _ = integrate.quad(
-            lambda w: _t_hfunc_base(ui, w, rho, nu),
-            0.0,
-            vi,
-            epsabs=1e-11,
-            epsrel=1e-11,
-            limit=200,
-        )
-        flat[i] = val
-    return out if out.ndim else float(flat[0])
-
-
 def _clayton_logs(u, v, theta):
     # log of s = u^-theta + v^-theta - 1, computed without overflow
     a = -theta * np.log(u)
@@ -273,10 +213,6 @@ def _clayton_logs(u, v, theta):
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
     return hi + np.log1p(np.exp(lo - hi) - np.exp(-hi))
-
-
-def _clayton_cdf_base(u, v, theta):
-    return np.exp(-_clayton_logs(u, v, theta) / theta)
 
 
 def _clayton_logpdf_base(u, v, theta):
@@ -308,11 +244,6 @@ def _gumbel_parts(u, v, theta):
     log_sum = np.logaddexp(la, lb)  # log((-ln u)^theta + (-ln v)^theta)
     log_s = log_sum / theta  # log of the generator inverse argument
     return log_sum, log_s
-
-
-def _gumbel_cdf_base(u, v, theta):
-    _, log_s = _gumbel_parts(u, v, theta)
-    return np.exp(-np.exp(log_s))
 
 
 def _gumbel_logpdf_base(u, v, theta):
@@ -362,11 +293,6 @@ def _frank_g(x, theta):
     return np.expm1(-theta * x)
 
 
-def _frank_cdf_base(u, v, theta):
-    g1 = _frank_g(1.0, theta)
-    return -np.log1p(_frank_g(u, theta) * _frank_g(v, theta) / g1) / theta
-
-
 def _frank_logpdf_base(u, v, theta):
     # continuous limit 1 at theta -> 0; tiny |theta| is clipped to keep the
     # expressions finite during optimisation
@@ -395,10 +321,6 @@ def _frank_hinv_base(p, v, theta):
     return -np.log1p(gu) / theta
 
 
-def _indep_cdf(u, v):
-    return u * v
-
-
 def _indep_logpdf(u, v):
     return np.zeros(np.broadcast(u, v).shape)
 
@@ -407,22 +329,16 @@ def _indep_hfunc(u, v):
     return u * np.ones_like(v)
 
 
-# family -> (cdf, logpdf, hfunc, hinv), each called as fn(u, v, *params); hfunc
+# family -> (logpdf, hfunc, hinv), each called as fn(u, v, *params); hfunc
 # conditions u on v and hinv inverts it in u, so independence's hinv is its hfunc
-_CDF, _LOGPDF, _HFUNC, _HINV = range(4)
+_LOGPDF, _HFUNC, _HINV = range(3)
 _BASE = {
-    "independence": (_indep_cdf, _indep_logpdf, _indep_hfunc, _indep_hfunc),
-    "gaussian": (
-        _gauss_cdf_base, _gauss_logpdf_base, _gauss_hfunc_base, _gauss_hinv_base
-    ),
-    "studentt": (_t_cdf_base, _t_logpdf_base, _t_hfunc_base, _t_hinv_base),
-    "clayton": (
-        _clayton_cdf_base, _clayton_logpdf_base, _clayton_hfunc_base, _clayton_hinv_base
-    ),
-    "gumbel": (
-        _gumbel_cdf_base, _gumbel_logpdf_base, _gumbel_hfunc_base, _gumbel_hinv_base
-    ),
-    "frank": (_frank_cdf_base, _frank_logpdf_base, _frank_hfunc_base, _frank_hinv_base),
+    "independence": (_indep_logpdf, _indep_hfunc, _indep_hfunc),
+    "gaussian": (_gauss_logpdf_base, _gauss_hfunc_base, _gauss_hinv_base),
+    "studentt": (_t_logpdf_base, _t_hfunc_base, _t_hinv_base),
+    "clayton": (_clayton_logpdf_base, _clayton_hfunc_base, _clayton_hinv_base),
+    "gumbel": (_gumbel_logpdf_base, _gumbel_hfunc_base, _gumbel_hinv_base),
+    "frank": (_frank_logpdf_base, _frank_hfunc_base, _frank_hinv_base),
 }
 
 
@@ -445,49 +361,6 @@ def _concordance_sign(rotation):
     # reflecting exactly one margin reverses the sign of tau and rho_S
     flip_u, flip_v = _reflects(rotation)
     return -1.0 if flip_u != flip_v else 1.0
-
-
-def cdf(copula, u, v):
-    """Copula CDF C(u, v), honouring the stored rotation.
-
-    Parameters
-    ----------
-    copula : BivariateCopula
-    u, v : array_like in [0, 1]
-
-    Returns
-    -------
-    ndarray or float
-        Values within the Frechet-Hoeffding bounds.
-    """
-    u = _clip_unit(u, "u")
-    v = _clip_unit(v, "v")
-    base, par, rot = _BASE[copula.family][_CDF], copula.params, copula.rotation
-    # one branch per rotation keeps each identity's float operation order
-    if rot == 0:
-        raw = base(u, v, *par)
-    elif rot == 90:
-        raw = v - base(1.0 - u, v, *par)
-    elif rot == 180:
-        raw = u + v - 1.0 + base(1.0 - u, 1.0 - v, *par)
-    else:
-        raw = u - base(u, 1.0 - v, *par)
-    lower = np.maximum(u + v - 1.0, 0.0)
-    upper = np.minimum(u, v)
-    return np.clip(raw, lower, upper)
-
-
-def pdf(copula, u, v):
-    """Copula density c(u, v)."""
-    return np.exp(log_pdf(copula, u, v))
-
-
-def log_pdf(copula, u, v):
-    """Natural log of the copula density, stable in the tails."""
-    u = _clip_unit(u, "u")
-    v = _clip_unit(v, "v")
-    ur, vr = _reflect(u, v, copula.rotation)
-    return _BASE[copula.family][_LOGPDF](ur, vr, *copula.params)
 
 
 def _conditional(copula, column, x, w, margin):
@@ -551,94 +424,6 @@ def sample(copula, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# dependence measures
-# ---------------------------------------------------------------------------
-
-
-def _frank_tau_positive(theta):
-    debye, _ = integrate.quad(lambda t: t / np.expm1(t), 0.0, theta, limit=200)
-    return 1.0 - 4.0 / theta * (1.0 - debye / theta)
-
-
-def _base_tau(family, params):
-    if family == "independence":
-        return 0.0
-    if family in ("gaussian", "studentt"):
-        return 2.0 / np.pi * np.arcsin(params[0])
-    if family == "clayton":
-        return params[0] / (params[0] + 2.0)
-    if family == "gumbel":
-        return 1.0 - 1.0 / params[0]
-    theta = params[0]
-    if abs(theta) < 1e-8:
-        return theta / 9.0
-    tau = _frank_tau_positive(abs(theta))
-    return tau if theta > 0 else -tau
-
-
-def tau_of(copula):
-    """Population Kendall tau of the copula (sign follows the rotation)."""
-    return _concordance_sign(copula.rotation) * _base_tau(copula.family, copula.params)
-
-
-def _base_spearman(family, params):
-    if family == "independence":
-        return 0.0
-    if family == "gaussian":
-        return 6.0 / np.pi * np.arcsin(params[0] / 2.0)
-    # numerical 12 * integral of C - 3 on a Gauss-Legendre grid; the t
-    # copula CDF is quadrature-based, so fewer nodes keep it tractable
-    n_nodes = 32 if family == "studentt" else 128
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    uu, vv = np.meshgrid(x, x)
-    cvals = _BASE[family][_CDF](uu, vv, *params)
-    integral = float((cvals * np.outer(w, w)).sum())
-    return 12.0 * integral - 3.0
-
-
-def spearman_of(copula):
-    """Population Spearman rho; closed form where known, else quadrature."""
-    sign = _concordance_sign(copula.rotation)
-    return sign * _base_spearman(copula.family, copula.params)
-
-
-def _base_tail(family, params):
-    # (lower, upper) tail dependence coefficients of the unrotated family
-    if family == "clayton":
-        return 2.0 ** (-1.0 / params[0]), 0.0
-    if family == "gumbel":
-        return 0.0, 2.0 - 2.0 ** (1.0 / params[0])
-    if family == "studentt":
-        rho, nu = params
-        arg = -np.sqrt((nu + 1.0) * (1.0 - rho) / (1.0 + rho))
-        lam = 2.0 * stats.t.cdf(arg, nu + 1.0)
-        return lam, lam
-    return 0.0, 0.0
-
-
-def lower_tdc(copula):
-    """Lower tail dependence coefficient lim C(t,t)/t as t -> 0."""
-    lam_l, lam_u = _base_tail(copula.family, copula.params)
-    if copula.rotation == 0:
-        return lam_l
-    if copula.rotation == 180:
-        return lam_u
-    return 0.0
-
-
-def upper_tdc(copula):
-    """Upper tail dependence coefficient lim (1-2t+C(t,t))/(1-t) as t -> 1."""
-    lam_l, lam_u = _base_tail(copula.family, copula.params)
-    if copula.rotation == 0:
-        return lam_u
-    if copula.rotation == 180:
-        return lam_l
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
 # fitting and selection
 # ---------------------------------------------------------------------------
 
@@ -667,6 +452,16 @@ def _check_pseudo_obs(pseudo_obs):
     return arr
 
 
+def _frank_tau(theta):
+    """Population Kendall tau of the Frank copula, the fit's start-value map."""
+    if abs(theta) < 1e-8:
+        return theta / 9.0
+    a = abs(theta)
+    debye, _ = integrate.quad(lambda t: t / np.expm1(t), 0.0, a, limit=200)
+    tau = 1.0 - 4.0 / a * (1.0 - debye / a)
+    return tau if theta > 0 else -tau
+
+
 def _tau_init(family, tau):
     tau = float(np.clip(tau, -0.95, 0.95))
     if family == "gaussian" or family == "studentt":
@@ -683,7 +478,7 @@ def _tau_init(family, tau):
         lo, hi = (1e-4, 35.0) if tau > 0 else (-35.0, -1e-4)
         try:
             return optimize.brentq(
-                lambda th: _base_tau("frank", (th,)) - tau, lo, hi, xtol=1e-6
+                lambda th: _frank_tau(th) - tau, lo, hi, xtol=1e-6
             )
         except ValueError:
             return hi if tau > 0 else lo

@@ -7,8 +7,8 @@ condition (the greedy sequential method of Dissmann et al.).  Each edge
 carries one bivariate copula chosen by AIC, with the simplifying
 assumption throughout.
 
-Fitting, the log-likelihood and simulation read F(v | D), the conditional
-distribution of v given the set D, from one memoised accessor: it applies
+Fitting and simulation read F(v | D), the conditional distribution of v
+given the set D, from one memoised accessor: it applies
 the h-function of the unique edge whose constraint set is D | {v} to the
 streams of that edge's conditioned pair.  Simulation inverts the
 Rosenblatt transform: variable 0 first, then each time the smallest
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import bicop
 from .bicop import DEFAULT_CANDIDATES, BivariateCopula, hfunc, hinv, select_family_aic
 from .errors import (
     DegenerateSeriesError,
@@ -423,19 +422,6 @@ def fit_auto(pseudo_obs, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LE
     if u.shape[1] not in (3, 4):
         raise DomainError(f"need 3 or 4 variables, got {u.shape[1]}")
     return _run_vine(u, candidates, structure=None, indep_level=indep_test)
-
-
-def loglik(model, pseudo_obs):
-    """Vine log-likelihood of data under an already-fitted model."""
-    u = _check_columns(pseudo_obs, min_rows=1)
-    n = model.structure.n_vars
-    if u.shape[1] != n:
-        raise DomainError("column count does not match the model")
-    stream = _Streams({(v, frozenset()): u[:, v] for v in range(n)}, model.pair_copulas)
-    total = 0.0
-    for edge in model.structure.all_edges():
-        total += float(np.sum(bicop.log_pdf(model.pair_copulas[edge], *stream.pair(edge))))
-    return total
 
 
 def _sampling_chain(edges, var, sampled):

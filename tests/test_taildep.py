@@ -173,7 +173,7 @@ class TestEmpiricalKendall:
         assert_allclose(fn.evaluate(0.5), 0.8465735902799727, atol=0.02)
 
     def test_clayton_oracle(self):
-        sample = BivariateCopula("clayton", 0, (2.0,)).sample(30_000, 11)
+        sample = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 30_000, 11)
         fn = empirical_kendall_fn(sample)
         oracle = analytic_kendall_fn("clayton", 2.0)
         assert np.max(np.abs(fn.evaluate(GRID_99) - oracle.evaluate(GRID_99))) < 0.02
@@ -189,7 +189,7 @@ class TestEmpiricalKendall:
         if kind == "uniform":
             sample = uniform_sample(300, 2, seed)
         elif kind == "clayton":
-            sample = BivariateCopula("clayton", 0, (1.5,)).sample(300, seed)
+            sample = bicop.sample(BivariateCopula("clayton", 0, (1.5,)), 300, seed)
         else:
             base = uniform_sample(150, 2, seed)
             sample = np.vstack([base, base])  # every row duplicated
@@ -326,7 +326,7 @@ class TestTailMeasures:
         if kind == 0:
             arr = rng.random((m, x_cols + 1))
         elif kind == 1:
-            pair = BivariateCopula("clayton", 0, (2.0,)).sample(m, seed + 50)
+            pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), m, seed + 50)
             extra = rng.random((m, x_cols - 1)) if x_cols > 1 else np.empty((m, 0))
             arr = np.column_stack([pair[:, 0], extra, pair[:, 1]])
         else:
@@ -340,7 +340,7 @@ class TestTailMeasures:
             assert res.n_conditioning == n_cond
 
     def test_clayton_example_against_brute(self):
-        pair = BivariateCopula("clayton", 0, (2.0,)).sample(2000, 13)
+        pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 2000, 13)
         sample = np.column_stack([pair[:, 0], pair[:, 1], pair[:, 0]])
         res = q_lower_kendall(sample, 0.05, 0.05)
         value, n_cond = brute_q(sample, 0.05, 0.05, "lower")
@@ -349,7 +349,7 @@ class TestTailMeasures:
         assert res.value > 0.3  # strong lower dependence carried by Y = X1
 
     def test_gumbel_max_example_against_brute(self):
-        pair = BivariateCopula("gumbel", 0, (2.0,)).sample(2000, 14)
+        pair = bicop.sample(BivariateCopula("gumbel", 0, (2.0,)), 2000, 14)
         sample = np.column_stack([pair, pair.max(axis=1)])
         res = q_upper_kendall(sample, 0.05, 0.05)
         value, n_cond = brute_q(sample, 0.05, 0.05, "upper")
@@ -414,12 +414,12 @@ class TestLambdaKendall:
         assert res.smallest_reliable_alpha == 0.01
 
     def test_clayton_collapsed_pair(self):
-        pair = BivariateCopula("clayton", 0, (2.0,)).sample(1_000_000, 5)
+        pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 1_000_000, 5)
         res = lambda_kendall(pair)["lower"]
         assert abs(res.extrapolated - 2 ** -0.5) < 0.05
 
     def test_gumbel_collapsed_pair_upper(self):
-        pair = BivariateCopula("gumbel", 0, (2.0,)).sample(1_000_000, 8)
+        pair = bicop.sample(BivariateCopula("gumbel", 0, (2.0,)), 1_000_000, 8)
         res = lambda_kendall(pair)["upper"]
         assert abs(res.extrapolated - (2.0 - 2 ** 0.5)) < 0.05
 
@@ -595,7 +595,7 @@ class TestTailConcentration:
             ("gumbel", BivariateCopula("gumbel", 0, (1.5,))),
             ("clayton", BivariateCopula("clayton", 0, (1.0,))),
         ):
-            curves[name] = tail_concentration(cop.sample(300_000, 77), 0.05, beta)
+            curves[name] = tail_concentration(bicop.sample(cop, 300_000, 77), 0.05, beta)
         for j in range(beta.size):
             assert curves["clayton"]["lower"][j] > curves["gaussian"]["lower"][j]
             assert curves["gaussian"]["lower"][j] > curves["gumbel"]["lower"][j]
