@@ -35,8 +35,6 @@ DUMMY_NAMES = (
     "sat", "sun",
 )
 
-DEFAULT_SCHEMA = {name: name for name in ("date", "hour") + VARIABLES}
-
 
 @dataclass(frozen=True)
 class RawHourlyRecord:
@@ -115,17 +113,6 @@ class HourlyPanel:
             "values": [[float(x) for x in row] for row in self.values],
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            hour=int(data["hour"]),
-            dates=tuple(
-                datetime.date.fromisoformat(d) for d in data["dates"]
-            ),
-            values=np.asarray(data["values"], dtype=np.float64),
-            variable_names=tuple(data["variable_names"]),
-        )
-
 
 def _parse_float(text, line_no, column, optional=False):
     text = text.strip() if text is not None else ""
@@ -144,15 +131,60 @@ def _parse_float(text, line_no, column, optional=False):
         ) from None
 
 
-def load_csv(path, schema=None, allow_duplicate_hours=False):
+def _read_records(reader, path):
+    if reader.fieldnames is None:
+        raise SchemaError("file has no header row", location=str(path))
+    missing = [
+        col for col in ("date", "hour") + VARIABLES if col not in reader.fieldnames
+    ]
+    if missing:
+        raise SchemaError(
+            f"missing columns {missing}; found {reader.fieldnames}",
+            location=str(path),
+        )
+    records = []
+    for row in reader:
+        line_no = reader.line_num
+        raw_date = (row["date"] or "").strip()
+        try:
+            day = datetime.date.fromisoformat(raw_date)
+        except ValueError:
+            raise RowParseError(
+                f"cannot parse date {raw_date!r}",
+                location=f"line {line_no}",
+            ) from None
+        raw_hour = (row["hour"] or "").strip()
+        try:
+            hour = int(raw_hour)
+        except ValueError:
+            raise RowParseError(
+                f"cannot parse hour {raw_hour!r}",
+                location=f"line {line_no}",
+            ) from None
+        if not 0 <= hour <= 23:
+            raise RowParseError(
+                f"hour {hour} out of range 0-23", location=f"line {line_no}"
+            )
+        records.append(
+            RawHourlyRecord(
+                date=day,
+                hour=hour,
+                price=_parse_float(row["price"], line_no, "price"),
+                demand=_parse_float(row["demand"], line_no, "demand"),
+                wind=_parse_float(row["wind"], line_no, "wind"),
+                solar=_parse_float(row["solar"], line_no, "solar", optional=True),
+            )
+        )
+    return records
+
+
+def load_csv(path, allow_duplicate_hours=False):
     """Read hourly records from a CSV file.
 
     Parameters
     ----------
     path : str or Path
-    schema : dict, optional
-        Maps the canonical names (date, hour, price, demand, wind, solar)
-        to the actual column headers in the file.
+        A file with the header ``date,hour,price,demand,wind,solar``.
     allow_duplicate_hours : bool
         When False (default) a repeated (date, hour) key raises
         DuplicateKeyError.  Set True to defer autumn clock-change
@@ -162,60 +194,20 @@ def load_csv(path, schema=None, allow_duplicate_hours=False):
     -------
     list of RawHourlyRecord, ordered by (date, hour).
     """
-    mapping = dict(DEFAULT_SCHEMA)
-    if schema:
-        unknown = set(schema) - set(mapping)
-        if unknown:
-            raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
-        mapping.update(schema)
-
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SchemaError("file has no header row", location=str(path))
-        missing = [
-            col for col in mapping.values() if col not in reader.fieldnames
-        ]
-        if missing:
+        try:
+            records = _read_records(reader, path)
+        except UnicodeDecodeError as exc:
             raise SchemaError(
-                f"missing columns {missing}; found {reader.fieldnames}",
-                location=str(path),
-            )
-        records = []
-        for row in reader:
-            line_no = reader.line_num
-            raw_date = (row[mapping["date"]] or "").strip()
-            try:
-                day = datetime.date.fromisoformat(raw_date)
-            except ValueError:
-                raise RowParseError(
-                    f"cannot parse date {raw_date!r}",
-                    location=f"line {line_no}",
-                ) from None
-            raw_hour = (row[mapping["hour"]] or "").strip()
-            try:
-                hour = int(raw_hour)
-            except ValueError:
-                raise RowParseError(
-                    f"cannot parse hour {raw_hour!r}",
-                    location=f"line {line_no}",
-                ) from None
-            if not 0 <= hour <= 23:
-                raise RowParseError(
-                    f"hour {hour} out of range 0-23", location=f"line {line_no}"
-                )
-            records.append(
-                RawHourlyRecord(
-                    date=day,
-                    hour=hour,
-                    price=_parse_float(row[mapping["price"]], line_no, "price"),
-                    demand=_parse_float(row[mapping["demand"]], line_no, "demand"),
-                    wind=_parse_float(row[mapping["wind"]], line_no, "wind"),
-                    solar=_parse_float(
-                        row[mapping["solar"]], line_no, "solar", optional=True
-                    ),
-                )
-            )
+                f"cannot decode the file as text: {exc.reason}", location=str(path)
+            ) from None
+        except csv.Error as exc:
+            # DictReader.line_num counts only the rows it returned
+            raise RowParseError(
+                f"cannot split the row: {exc}",
+                location=f"line {reader.reader.line_num}",
+            ) from None
 
     records.sort(key=lambda r: (r.date, r.hour))
     if not allow_duplicate_hours:

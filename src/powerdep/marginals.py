@@ -10,13 +10,13 @@ so stationarity and positivity hold at every iterate.
 One filter, ``_garch_filter``, turns (design, target, parameters) into
 the mean residuals, the variance path started at their sample variance,
 and the Gaussian negative log-likelihood.  The optimiser's objective,
-the fitted paths, ``ar_garch_loglik``, ``filter_residuals`` and the
-refiltering in ``MarginalFit.from_json_dict`` all go through it, so a
-refiltered series reproduces the fit's own paths exactly.  The optimiser
-also gets the exact score: ``_garch_score`` takes the filter's residuals
-and variance path and returns the gradient from one reverse pass of the
-variance recursion (Fiorentini, Calzolari & Panattoni 1996, J. Appl.
-Econometrics), in O(T k) instead of k + 1 filter passes.
+the fitted paths, ``ar_garch_loglik`` and ``filter_residuals`` all go
+through it, so a refiltered series reproduces the fit's own paths
+exactly.  The optimiser also gets the exact score: ``_garch_score``
+takes the filter's residuals and variance path and returns the gradient
+from one reverse pass of the variance recursion (Fiorentini, Calzolari
+& Panattoni 1996, J. Appl. Econometrics), in O(T k) instead of k + 1
+filter passes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,10 @@ class MarginalSpec:
     n_dummies : int
         Number of calendar dummy columns expected (14 for the standard
         month/weekend encoding; 0 for plain time-series use).
-    innovation : str
-        Innovation distribution; only ``"gaussian"`` is supported.
     """
 
     lag_set: tuple = (1,)
     n_dummies: int = 14
-    innovation: str = "gaussian"
 
     def __post_init__(self):
         lags = tuple(int(l) for l in self.lag_set)
@@ -78,8 +75,6 @@ class MarginalSpec:
         object.__setattr__(self, "lag_set", lags)
         if self.n_dummies < 0:
             raise DomainError("n_dummies must be non-negative")
-        if self.innovation != "gaussian":
-            raise DomainError("only gaussian innovations are supported")
 
     @property
     def max_lag(self):
@@ -119,7 +114,7 @@ class MarginalFit:
             "spec": {
                 "lag_set": list(self.spec.lag_set),
                 "n_dummies": self.spec.n_dummies,
-                "innovation": self.spec.innovation,
+                "innovation": "gaussian",
             },
             "params": {
                 "phi": [float(x) for x in self.phi],
@@ -136,44 +131,6 @@ class MarginalFit:
                 **self.diagnostics,
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, data, series=None, dummies=None):
-        """Rebuild a fit from JSON; paths are refiltered when data is given."""
-        spec = MarginalSpec(
-            lag_set=tuple(data["spec"]["lag_set"]),
-            n_dummies=int(data["spec"]["n_dummies"]),
-            innovation=data["spec"]["innovation"],
-        )
-        params = data["params"]
-        fit = cls(
-            spec=spec,
-            phi=np.asarray(params["phi"], dtype=np.float64),
-            psi=np.asarray(params["psi"], dtype=np.float64),
-            omega=float(params["omega"]),
-            alpha=float(params["alpha"]),
-            beta=float(params["beta"]),
-            sigma2_path=np.empty(0),
-            residuals=np.empty(0),
-            pseudo_obs=np.empty(0),
-            loglik=float(data["loglik"]),
-            converged=bool(data["diagnostics"]["converged"]),
-            n_iter=int(data["diagnostics"]["n_iter"]),
-            boundary=bool(data["diagnostics"]["boundary"]),
-            diagnostics={
-                k: v
-                for k, v in data["diagnostics"].items()
-                if k not in ("converged", "n_iter", "boundary")
-            },
-        )
-        if series is not None:
-            eps, sigma2, _ = _refilter(
-                series, dummies, spec, fit.phi, fit.psi, fit.omega, fit.alpha, fit.beta
-            )
-            fit.sigma2_path = sigma2
-            fit.residuals = eps / np.sqrt(sigma2)
-            fit.pseudo_obs = pit_transform(fit.residuals, mode="gaussian")
-        return fit
 
 
 def _dummy_matrix(dummies, n_expected, length):

@@ -212,8 +212,12 @@ class AnalysisConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"cannot read {name} from {value!r}") from None
         hours = self.hours
-        if any(not 0 <= h <= 23 for h in hours) or len(set(hours)) != len(hours):
-            raise ConfigError("hours must be distinct and lie in 0..23")
+        if (
+            not hours
+            or any(not 0 <= h <= 23 for h in hours)
+            or len(set(hours)) != len(hours)
+        ):
+            raise ConfigError("hours must be non-empty, distinct and lie in 0..23")
         for name, floor in _INTEGER_FLOORS.items():
             if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be at least {floor}")

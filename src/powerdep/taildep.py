@@ -446,16 +446,6 @@ class ScenarioPattern:
     def label(self):
         return "".join(d for _, d in self.conditioning)
 
-    def flipped(self):
-        """The same scenario with every direction reversed."""
-        return ScenarioPattern(
-            conditioning=tuple((v, "L" if d == "H" else "H") for v, d in self.conditioning),
-            target=self.target,
-            target_direction="L" if self.target_direction == "H" else "H",
-            alpha=self.alpha,
-            beta=self.beta,
-        )
-
 
 def scenario_tail_coefficient(sample, pattern, n_mc):
     """Tail measure of a vine sample under a mixed high/low scenario.
@@ -465,8 +455,7 @@ def scenario_tail_coefficient(sample, pattern, n_mc):
     (u -> 1 - u, target included), and applies the upper Kendall measure
     so that the scenario always reads "target extreme in its direction
     given all conditioners extreme in theirs".  Reflection is driven
-    entirely by the pattern's direction labels, so flipping all
-    directions twice reproduces the result exactly.
+    entirely by the pattern's direction labels.
     """
     n_mc = int(n_mc)
     if n_mc < 1000:

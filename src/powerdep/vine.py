@@ -86,32 +86,6 @@ class VineStructure:
     def all_edges(self):
         return [edge for tree in self.trees for edge in tree]
 
-    def to_json_dict(self):
-        return {
-            "n_vars": self.n_vars,
-            "trees": [
-                [
-                    {
-                        "conditioned": list(e.conditioned),
-                        "conditioning": list(e.conditioning),
-                    }
-                    for e in tree
-                ]
-                for tree in self.trees
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        trees = tuple(
-            tuple(
-                VineEdge(tuple(e["conditioned"]), tuple(e["conditioning"]))
-                for e in tree
-            )
-            for tree in data["trees"]
-        )
-        return cls(n_vars=int(data["n_vars"]), trees=trees)
-
 
 def check_structure(structure):
     """Validate the R-vine tree sequence against the proximity condition.
@@ -253,12 +227,12 @@ class VineModel:
         )
 
 
-def _check_columns(u, min_rows):
+def _check_columns(u):
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise DomainError("pseudo-observations must be a 2-d matrix")
-    if u.shape[0] < min_rows:
-        raise DomainError(f"need at least {min_rows} rows, got {u.shape[0]}")
+    if u.shape[0] < 100:
+        raise DomainError(f"need at least 100 rows, got {u.shape[0]}")
     if np.any(u <= 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u)):
         raise DomainError("pseudo-observations must lie strictly inside (0, 1)")
     for col in range(u.shape[1]):
@@ -352,12 +326,12 @@ def _fit_edge(u_x, u_y, candidates, indep_level):
     return best.copula, meta
 
 
-def _run_vine(u, candidates, structure=None, indep_level=INDEP_TEST_LEVEL):
-    """Shared engine: select (structure=None) or follow a given structure.
+def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
+    """Select the structure tree by tree and fit each tree's pair copulas.
 
-    Selection takes each tree as the greedy maximum spanning tree under
-    |Kendall tau| on the node pairs that the proximity condition allows;
-    weight ties break lexicographically by edge.
+    Each tree is the greedy maximum spanning tree under |Kendall tau| on
+    the node pairs that the proximity condition allows; weight ties
+    break lexicographically by edge.
     """
     n = u.shape[1]
     stream = _Streams({(v, frozenset()): u[:, v] for v in range(n)}, {})
@@ -368,27 +342,24 @@ def _run_vine(u, candidates, structure=None, indep_level=INDEP_TEST_LEVEL):
     nodes = [frozenset({v}) for v in range(n)]
     allowed = list(itertools.combinations(range(n), 2))
     for level in range(1, n):
-        if structure is None:
-            weighted = []
-            for i, j in allowed:
-                edge = VineEdge(tuple(nodes[i] ^ nodes[j]), tuple(nodes[i] & nodes[j]))
-                weighted.append((-_tau_weight(*stream.pair(edge)), edge, i, j))
-            weighted.sort(key=lambda t: t[:2])
-            parent = list(range(len(nodes)))
-            chosen = sorted(
-                (edge, i, j) for _, edge, i, j in weighted if _union(parent, i, j)
-            )
-            if len(chosen) != len(nodes) - 1:
-                raise StructureError(f"could not span tree {level}")
-            tree = tuple(edge for edge, _, _ in chosen)
-            nodes = [edge.constraint for edge in tree]
-            allowed = [
-                (p, q)
-                for p, q in itertools.combinations(range(len(chosen)), 2)
-                if set(chosen[p][1:]) & set(chosen[q][1:])
-            ]
-        else:
-            tree = structure.trees[level - 1]
+        weighted = []
+        for i, j in allowed:
+            edge = VineEdge(tuple(nodes[i] ^ nodes[j]), tuple(nodes[i] & nodes[j]))
+            weighted.append((-_tau_weight(*stream.pair(edge)), edge, i, j))
+        weighted.sort(key=lambda t: t[:2])
+        parent = list(range(len(nodes)))
+        chosen = sorted(
+            (edge, i, j) for _, edge, i, j in weighted if _union(parent, i, j)
+        )
+        if len(chosen) != len(nodes) - 1:
+            raise StructureError(f"could not span tree {level}")
+        tree = tuple(edge for edge, _, _ in chosen)
+        nodes = [edge.constraint for edge in tree]
+        allowed = [
+            (p, q)
+            for p, q in itertools.combinations(range(len(chosen)), 2)
+            if set(chosen[p][1:]) & set(chosen[q][1:])
+        ]
         for edge in tree:
             cop, meta = _fit_edge(*stream.pair(edge), candidates, indep_level)
             stream.add(edge, cop)
@@ -406,22 +377,12 @@ def _run_vine(u, candidates, structure=None, indep_level=INDEP_TEST_LEVEL):
     )
 
 
-def fit(pseudo_obs, structure, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LEVEL):
-    """Sequential pair-copula fit along a given structure."""
-    u = _check_columns(pseudo_obs, min_rows=10)
-    if structure.n_vars != u.shape[1]:
-        raise StructureError(
-            f"structure has {structure.n_vars} variables, data has {u.shape[1]}"
-        )
-    return _run_vine(u, candidates, structure=structure, indep_level=indep_test)
-
-
 def fit_auto(pseudo_obs, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LEVEL):
     """Select the structure and fit pair copulas in one pass."""
-    u = _check_columns(pseudo_obs, min_rows=100)
+    u = _check_columns(pseudo_obs)
     if u.shape[1] not in (3, 4):
         raise DomainError(f"need 3 or 4 variables, got {u.shape[1]}")
-    return _run_vine(u, candidates, structure=None, indep_level=indep_test)
+    return _run_vine(u, candidates, indep_level=indep_test)
 
 
 def _sampling_chain(edges, var, sampled):

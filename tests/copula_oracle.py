@@ -221,7 +221,7 @@ def upper_tdc(copula):
 
 def vine_loglik(model, pseudo_obs):
     """Vine log-likelihood of data under an already-fitted model."""
-    u = _check_columns(pseudo_obs, min_rows=1)
+    u = _check_columns(pseudo_obs)
     n = model.structure.n_vars
     if u.shape[1] != n:
         raise DomainError("column count does not match the model")

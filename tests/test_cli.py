@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from powerdep import cli, pipeline, taildep, vine
-from powerdep.data_ingest import HourlyPanel, slice_hour
+from powerdep.data_ingest import slice_hour
 from powerdep.errors import ConfigError
 from conftest import blas_threads
 
@@ -133,12 +133,10 @@ class TestIngest:
             ["ingest", "--data", data_csv, "--out", str(tmp_path)], capsys
         )
         assert code == 0
-        panel = HourlyPanel.from_json_dict(
-            json.load(open(out["artifacts"]["panel_12"]))
-        )
-        assert panel.hour == 12
-        assert panel.variable_names == ("price", "demand", "wind", "solar")
-        assert len(panel.dates) == 420
+        panel = json.load(open(out["artifacts"]["panel_12"]))
+        assert panel["hour"] == 12
+        assert panel["variable_names"] == ["price", "demand", "wind", "solar"]
+        assert len(panel["dates"]) == 420
         meta = json.load(open(out["artifacts"]["metadata"]))
         assert meta["hours"] == [3, 12]
         assert "clock" in meta["clock_changes"].get("note", "")
@@ -444,6 +442,16 @@ class TestCliContract:
         assert code == 1
         assert err["code"] == "config"
         assert "absent.csv" in err["location"]
+
+    def test_undecodable_data_file_is_a_json_error(self, tmp_path, capsys):
+        data = tmp_path / "utf16.csv"
+        data.write_bytes(b"\xff\xfe" + "date,hour\n".encode("utf-16-le"))
+        code, out, err = invoke(
+            ["ingest", "--data", str(data), "--out", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert err["code"] == "schema"
+        assert err["location"] == str(data)
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         args = ["synth", "--days", "70", "--hours", "5", "--out", str(tmp_path)]

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from powerdep import cli, pipeline
 from powerdep.data_ingest import build_dummies, slice_hour
 from powerdep.errors import DegenerateSeriesError, DomainError
 from powerdep.marginals import (
-    MarginalFit,
     MarginalSpec,
     _design,
     _negloglik,
@@ -123,11 +121,27 @@ class TestFit:
         assert np.all(fit.pseudo_obs > 0) and np.all(fit.pseudo_obs < 1)
 
 
+def ar1_series():
+    return make_series(TRUE_PARAMS, 2000, seed=11), None, SPEC1
+
+
+def ar127_series_with_dummies():
+    T = 1500
+    dmat = np.zeros((T, 14))
+    dmat[:, 3] = (np.arange(T) % 23 < 4).astype(float)
+    spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=14)
+    true = build_fit_from_params(
+        spec, [0.4, 0.2, 0.1], np.linspace(-1, 1, 14), 0.1, 0.1, 0.8
+    )
+    return simulate_ar_garch(true, dmat, T, seed=5), dmat, spec
+
+
 class TestFilter:
-    def test_refilter_training_data_reproduces_residuals(self):
-        y = make_series(TRUE_PARAMS, 2000, seed=11)
-        fit = fit_ar_garch(y, None, SPEC1)
-        eta = filter_residuals(fit, y)
+    @pytest.mark.parametrize("make", [ar1_series, ar127_series_with_dummies])
+    def test_refilter_training_data_reproduces_residuals(self, make):
+        y, dmat, spec = make()
+        fit = fit_ar_garch(y, dmat, spec)
+        eta = filter_residuals(fit, y, dmat)
         assert np.array_equal(eta, fit.residuals)
 
     def test_residual_moments(self):
@@ -342,33 +356,3 @@ class TestSpecDefaults:
             MarginalSpec(lag_set=(2, 1))
         with pytest.raises(DomainError):
             MarginalSpec(lag_set=())
-
-
-class TestSerialization:
-    def test_json_round_trip_preserves_filtering(self):
-        T = 1500
-        dmat = np.zeros((T, 14))
-        dmat[:, 3] = (np.arange(T) % 23 < 4).astype(float)
-        spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=14)
-        true = build_fit_from_params(
-            spec, [0.4, 0.2, 0.1], np.linspace(-1, 1, 14), 0.1, 0.1, 0.8
-        )
-        y = simulate_ar_garch(true, dmat, T, seed=5)
-        fit = fit_ar_garch(y, dmat, spec)
-        blob = json.dumps(fit.to_json_dict(), sort_keys=True)
-        back = MarginalFit.from_json_dict(json.loads(blob), series=y, dummies=dmat)
-        assert np.array_equal(back.residuals, fit.residuals)
-        assert np.array_equal(back.sigma2_path, fit.sigma2_path)
-        assert np.array_equal(back.pseudo_obs, fit.pseudo_obs)
-        assert np.array_equal(back.phi, fit.phi)
-        assert back.omega == fit.omega
-        assert back.alpha == fit.alpha
-        assert back.beta == fit.beta
-        assert back.loglik == fit.loglik
-
-    def test_params_only_round_trip(self):
-        fit = build_fit_from_params(SPEC1, [0.5], [], 0.1, 0.1, 0.8)
-        data = json.loads(json.dumps(fit.to_json_dict()))
-        back = MarginalFit.from_json_dict(data)
-        assert back.spec == fit.spec
-        assert back.omega == fit.omega

@@ -129,6 +129,7 @@ class TestAnalysisConfig:
             {"seed": 1.5},
             {"seed": -1},
             {"hours": (3.7,)},
+            {"hours": ()},
             {"window_days": 200.5},
             {"n_mc_lambda": 40000.5},
             {"jobs": True},
@@ -241,11 +242,6 @@ class TestRunGlobal:
         rows = {r["pattern"]: r["result"].value for r in global_result.by_hour()[12].scenario_table}
         # high demand with low wind and solar is the price-spike scenario
         assert rows["HLL"] > rows["LHH"]
-
-    def test_empty_hours_gives_empty_result(self, panels):
-        res = pipeline.run_global(panels, small_config(hours=()))
-        assert res.results == ()
-        assert res.failures == ()
 
     def test_missing_panel_is_config_error(self, panels):
         with pytest.raises(ConfigError, match="hours"):

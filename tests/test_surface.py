@@ -1,11 +1,19 @@
 """The library offers only what the program uses, and every oracle has a test.
 
-A public module-level function of ``powerdep`` must be referenced in
-``src/`` or ``perfbench/*.py`` (as a name, an attribute or an import
-alias), or be documented in README.md as ``<module>.<name>``.  A
-function that only the tests call is a test oracle and belongs in
-``tests/*_oracle.py``; each public function there must be called by some
-``tests/test_*.py``.
+A name counts as used only where it is reached through its owner, so a
+same-spelt name elsewhere (a local ``fit``, an attribute ``fit``) does
+not keep it alive.  A public module-level function of ``powerdep`` is
+used when one of these holds:
+
+- ``src/`` or ``perfbench/*.py`` references it as ``<module>.<name>``;
+- code there imports it by name from its module;
+- its own module names it bare;
+- README.md names it as ``<module>.<name>``.
+
+A public classmethod is used when ``src/``, ``perfbench/*.py`` or
+README.md references it as ``<Class>.<name>``.  A function that only the
+tests call is a test oracle and belongs in ``tests/*_oracle.py``; each
+public function there must be called by some ``tests/test_*.py``.
 """
 
 import ast
@@ -28,17 +36,48 @@ def public_functions(path):
     ]
 
 
-def referenced_names(paths):
-    names = set()
+def public_classmethods(path):
+    return [
+        (node.name, item.name)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("_")
+        and any(
+            isinstance(d, ast.Name) and d.id == "classmethod"
+            for d in item.decorator_list
+        )
+    ]
+
+
+def qualified_references(paths):
+    """(owner, name) for every ``owner.name`` and ``from owner import name``.
+
+    The owner of ``a.owner.name`` is ``owner``, and the owner of
+    ``from package.owner import name`` is ``owner``.
+    """
+    refs = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    refs.add((owner.id, node.attr))
+                elif isinstance(owner, ast.Attribute):
+                    refs.add((owner.attr, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                owner = node.module.rpartition(".")[2]
+                refs.update((owner, alias.name) for alias in node.names)
+    return refs
+
+
+def bare_names(path):
+    return {
+        node.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name)
+    }
 
 
 def called_names(paths):
@@ -56,15 +95,23 @@ def called_names(paths):
 
 def test_every_public_library_function_is_used_or_documented():
     modules = sorted((ROOT / "src" / "powerdep").glob("*.py"))
-    used = referenced_names(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    refs = qualified_references(modules + sorted((ROOT / "perfbench").glob("*.py")))
     readme = (ROOT / "README.md").read_text()
-    unused = [
-        (path.stem, name)
-        for path in modules
-        for name in public_functions(path)
-        if name not in used
-        and not re.search(rf"(?<![\w.]){path.stem}\.{name}\b", readme)
-    ]
+
+    def used(owner, name):
+        return (owner, name) in refs or re.search(
+            rf"(?<![\w.]){owner}\.{name}\b", readme
+        )
+
+    unused = []
+    for path in modules:
+        own = bare_names(path)
+        unused += [
+            (path.stem, name)
+            for name in public_functions(path)
+            if name not in own and not used(path.stem, name)
+        ]
+        unused += [pair for pair in public_classmethods(path) if not used(*pair)]
     assert sorted(set(unused) - ALLOWED_UNREFERENCED) == []
 
 

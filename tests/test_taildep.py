@@ -474,12 +474,13 @@ class TestScenarioPattern:
         assert p.label == "HLL"
         assert p.target_direction == "H"
 
-    def test_flip_is_involutive(self):
-        p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0, beta=0.1)
-        q = p.flipped()
-        assert q.label == "LH"
-        assert q.target_direction == "L"
-        assert q.flipped() == p
+    def test_label_reads_conditioning_only(self):
+        p = ScenarioPattern(
+            conditioning=((2, "low"), (1, "HIGH")), target=0, target_direction="l"
+        )
+        assert p.conditioning == ((2, "L"), (1, "H"))
+        assert p.label == "LH"
+        assert p.target_direction == "L"
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -503,15 +504,6 @@ class TestScenarioCoefficient:
         res = simulated_scenario(model, p, n_mc=50_000, seed=4)
         assert abs(res.value - 0.05) < 3 * res.mc_stderr
 
-    def test_double_flip_reproduces_exactly(self):
-        model = three_var_model(BivariateCopula("gaussian", 0, (0.7,)))
-        p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
-        a = simulated_scenario(model, p, n_mc=30_000, seed=9)
-        b = simulated_scenario(model, p.flipped().flipped(), n_mc=30_000, seed=9)
-        assert a.value == b.value
-        assert a.mc_stderr == b.mc_stderr
-        assert a.n_conditioning == b.n_conditioning
-
     def test_reflecting_irrelevant_coordinate(self):
         # price (0) depends only on demand (1); wind (2) is independent,
         # so turning its direction around must not move the estimate
@@ -521,6 +513,28 @@ class TestScenarioCoefficient:
         a = simulated_scenario(model, p_hh, n_mc=80_000, seed=21)
         b = simulated_scenario(model, p_hl, n_mc=80_000, seed=22)
         assert abs(a.value - b.value) < 2 * math.hypot(a.mc_stderr, b.mc_stderr)
+
+    def test_reversed_pattern_agrees_under_radial_symmetry(self):
+        # a Gaussian vine is radially symmetric, so turning every
+        # direction around, target included, keeps the coefficient
+        e01, e02 = VineEdge((0, 1)), VineEdge((0, 2))
+        t2 = VineEdge((1, 2), (0,))
+        model = manual_model(
+            ((e01, e02), (t2,)),
+            {
+                e01: BivariateCopula("gaussian", 0, (0.6,)),
+                e02: BivariateCopula("gaussian", 0, (-0.4,)),
+                t2: BivariateCopula("gaussian", 0, (0.2,)),
+            },
+        )
+        p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
+        q = ScenarioPattern(
+            conditioning=((1, "L"), (2, "H")), target=0, target_direction="L"
+        )
+        a = simulated_scenario(model, p, n_mc=80_000, seed=41)
+        b = simulated_scenario(model, q, n_mc=80_000, seed=42)
+        assert a.value > 0.05
+        assert abs(a.value - b.value) < 3 * math.hypot(a.mc_stderr, b.mc_stderr)
 
     def test_low_target_mirrors_negated_dependence(self):
         low = simulated_scenario(

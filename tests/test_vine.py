@@ -267,6 +267,14 @@ class TestSelectStructure:
         with pytest.raises(DegenerateSeriesError):
             vine.fit_auto(u).structure
 
+    def test_hundred_rows_suffice(self):
+        u = gaussian_sample(RHO_3D, 100, seed=6)
+        assert vine.fit_auto(u).n_obs == 100
+
+    def test_two_columns_rejected(self):
+        with pytest.raises(DomainError, match="3 or 4"):
+            vine.fit_auto(gaussian_sample([[1.0, 0.5], [0.5, 1.0]], 200, seed=7))
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             vine.fit_auto(np.random.default_rng(0).random((99, 3))).structure
@@ -306,26 +314,15 @@ class TestFit:
         assert (copula, meta) == expected
         assert meta["family"] != "independence"
 
-    def test_fit_follows_given_structure(self):
-        u = gaussian_sample(RHO_3D, 1200, seed=33)
-        structure = VineStructure(
+    def test_markov_chain_selects_chain_structure(self):
+        # 0 and 2 are conditionally independent given 1, so tree 1 must
+        # join both through 1 and leave (0, 2 | 1) for tree 2
+        rho = 0.7
+        chain = [[1.0, rho, rho**2], [rho, 1.0, rho], [rho**2, rho, 1.0]]
+        model = vine.fit_auto(gaussian_sample(chain, 1200, seed=33))
+        assert model.structure == VineStructure(
             3, ((VineEdge((0, 1)), VineEdge((1, 2))), (VineEdge((0, 2), (1,)),))
         )
-        model = vine.fit(u, structure)
-        assert model.structure == structure
-
-    def test_unreachable_structure_dimension(self):
-        u = gaussian_sample(RHO_3D, 300, seed=3)
-        structure = VineStructure(
-            4,
-            (
-                (VineEdge((0, 1)), VineEdge((1, 2)), VineEdge((2, 3))),
-                (VineEdge((0, 2), (1,)), VineEdge((1, 3), (2,))),
-                (VineEdge((0, 3), (1, 2)),),
-            ),
-        )
-        with pytest.raises(StructureError):
-            vine.fit(u, structure)
 
     def test_independent_columns_all_independence(self):
         rng = np.random.default_rng(77)
@@ -572,16 +569,12 @@ class TestSerialization:
             vine.simulate(back, 1000, seed=3), vine.simulate(model, 1000, seed=3)
         )
 
-    def test_structure_round_trip(self):
-        structure = VineStructure(
-            4,
-            (
-                (VineEdge((0, 1)), VineEdge((1, 2)), VineEdge((2, 3))),
-                (VineEdge((0, 2), (1,)), VineEdge((1, 3), (2,))),
-                (VineEdge((0, 3), (1, 2)),),
-            ),
+    def test_four_var_json_round_trip(self):
+        model = vine.fit_auto(gaussian_sample(RHO_4D, 1000, seed=43))
+        blob = json.dumps(model.to_json_dict(), sort_keys=True)
+        back = VineModel.from_json_dict(json.loads(blob))
+        assert back.structure == model.structure
+        assert back.pair_copulas == model.pair_copulas
+        assert np.array_equal(
+            vine.simulate(back, 1000, seed=4), vine.simulate(model, 1000, seed=4)
         )
-        back = VineStructure.from_json_dict(
-            json.loads(json.dumps(structure.to_json_dict()))
-        )
-        assert back == structure
