@@ -464,18 +464,18 @@ def analyze_hour(panel, config):
         np.column_stack([lam_sample[:, 1:], lam_sample[:, 0]]), config.alpha_grid
     )
 
-    scenario_table = []
-    for pattern in _scenario_patterns_for(config, names):
-        result = taildep.scenario_tail_coefficient(
-            sample, pattern, n_mc=config.n_mc_scenario
-        )
-        scenario_table.append(
-            {
-                "pattern": pattern.label,
-                "target_direction": pattern.target_direction,
-                "result": result,
-            }
-        )
+    patterns = _scenario_patterns_for(config, names)
+    results = taildep.scenario_tail_coefficient(
+        sample, patterns, n_mc=config.n_mc_scenario
+    )
+    scenario_table = [
+        {
+            "pattern": pattern.label,
+            "target_direction": pattern.target_direction,
+            "result": result,
+        }
+        for pattern, result in zip(patterns, results)
+    ]
 
     return HourlyAnalysisResult(
         hour=hour,

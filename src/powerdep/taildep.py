@@ -15,9 +15,11 @@ target variable Y reacts to joint extremes of several drivers:
   region of mass alpha.
 * ``lambda_kendall`` traces those measures along a grid of shrinking
   alphas and extrapolates to the limit coefficient, both sides at once.
-* ``scenario_tail_coefficient`` evaluates mixed high/low scenarios
-  (e.g. high demand with low wind) by reflecting coordinates of a
-  vine-simulated sample before applying the upper measure.
+* ``scenario_tail_coefficient`` evaluates an hour's mixed high/low
+  scenarios (e.g. high demand with low wind) as the upper measure on
+  reflected coordinates of a vine-simulated sample.  Every scenario's
+  strict count follows by inclusion-exclusion from one lower-orthant
+  count per column subset, shared by all of the hour's patterns.
 * ``tail_concentration`` is the classical bivariate diagnostic curve
   used to compare copula families at a fixed conditioning level.
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -217,13 +220,13 @@ def _check_levels(alpha, beta, m):
 
 
 class _Collapsed:
-    """Shared counting state for one (X columns, Y column) sample."""
+    """Shared counting state for one (X columns, Y column) sample.
 
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+    ``strict`` is the strict dominance count of the rows of ``x``.
+    """
+
+    def __init__(self, x, y, strict):
         m = x.shape[0]
-        strict = strict_dominance_counts(x)
         # Kendall collapse (strict); its inverse gives the thresholds.
         self.kendall = KendallFunction(strict, x.shape[1])
         # Conditioning values: empirical joint CDF (weak, self included);
@@ -284,7 +287,8 @@ def q_lower_kendall(sample, alpha, beta):
     """
     x, y = _split_sample(sample)
     _check_levels(alpha, beta, x.shape[0])
-    return _tail_measure(_Collapsed(x, y), alpha, beta, "lower")
+    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
+    return _tail_measure(collapsed, alpha, beta, "lower")
 
 
 def q_upper_kendall(sample, alpha, beta):
@@ -297,7 +301,8 @@ def q_upper_kendall(sample, alpha, beta):
     """
     x, y = _split_sample(sample)
     _check_levels(alpha, beta, x.shape[0])
-    return _tail_measure(_Collapsed(x, y), alpha, beta, "upper")
+    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
+    return _tail_measure(collapsed, alpha, beta, "upper")
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,8 @@ def lambda_kendall(sample, alpha_grid=DEFAULT_ALPHA_GRID):
         raise DomainError("alpha_grid values must lie in (0, 0.1]")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alpha_grid must be strictly decreasing")
-    collapsed = _Collapsed(*_split_sample(sample))
+    x, y = _split_sample(sample)
+    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
     return {side: _lambda_side(collapsed, alphas, side) for side in ("lower", "upper")}
 
 
@@ -447,46 +453,99 @@ class ScenarioPattern:
         return "".join(d for _, d in self.conditioning)
 
 
-def scenario_tail_coefficient(sample, pattern, n_mc):
-    """Tail measure of a vine sample under a mixed high/low scenario.
+def scenario_tail_coefficient(sample, patterns, n_mc):
+    """Tail measures of a vine sample under an hour's mixed high/low scenarios.
 
     Takes the first ``n_mc`` rows of ``sample`` (joint uniforms drawn
-    by ``vine.simulate``), reflects every Low-direction coordinate
-    (u -> 1 - u, target included), and applies the upper Kendall measure
-    so that the scenario always reads "target extreme in its direction
-    given all conditioners extreme in theirs".  Reflection is driven
-    entirely by the pattern's direction labels.
+    by ``vine.simulate``) and returns one ``TailMeasureResult`` per
+    pattern, in order.  Each is the upper Kendall measure of the
+    pattern's working sample, in which every Low-direction coordinate is
+    reflected (u -> 1 - u, target included), so the scenario always reads
+    "target extreme in its direction given all conditioners extreme in
+    theirs".  Reflection is driven entirely by the direction labels.
+
+    The strict counts of the working samples come from lower-orthant
+    counts of the unreflected prefix.  With M_U(i) the number of rows
+    strictly below row i on the columns U (M_empty = m), a pattern with
+    conditioning columns C, Low among them S, has the strict count
+
+        N_S(i) = sum over subsets T of S of (-1)^|T| M_{T | (C - S)}(i),
+
+    less 1 when S = C: without ties, u_j > u_i is the complement of
+    u_j < u_i for every row j != i.  Each M_U is counted once per call and
+    shared by every pattern that needs it, and patterns with the same
+    conditioning letters share N_S.  A tie in a conditioning column, or
+    in a reflected column 1 - u (which merges values closer than about
+    1.1e-16), breaks that complement, so then every pattern counts its
+    reflected columns directly.  Every pattern is checked before the
+    first count.
     """
     n_mc = int(n_mc)
     if n_mc < 1000:
         raise DomainError("n_mc must be at least 1000 for tail estimation")
     u = sample_prefix(sample, n_mc)
     d = u.shape[1]
-    indices = [v for v, _ in pattern.conditioning] + [pattern.target]
-    if any(not (0 <= v < d) for v in indices):
+    patterns = tuple(patterns)
+    conditioning = sorted({v for p in patterns for v, _ in p.conditioning})
+    used = sorted(set(conditioning) | {p.target for p in patterns})
+    if any(not (0 <= v < d) for v in used):
         raise DomainError(
             f"pattern references variables outside the sample's 0..{d - 1} range"
         )
-    cols = []
-    for var, direction in pattern.conditioning:
-        col = u[:, var]
-        cols.append(1.0 - col if direction == "L" else col)
-    target_col = u[:, pattern.target]
-    if pattern.target_direction == "L":
-        target_col = 1.0 - target_col
-    working = np.column_stack(cols + [target_col])
-    result = q_upper_kendall(working, pattern.alpha, pattern.beta)
-    metadata = dict(result.metadata)
-    metadata.update(
-        {
-            "pattern": pattern.label,
-            "target": pattern.target,
-            "target_direction": pattern.target_direction,
-            "conditioning": list(pattern.conditioning),
-            "n_mc": n_mc,
-        }
-    )
-    return replace(result, metadata=metadata)
+    if not np.all(np.isfinite(u[:, used])):
+        raise DomainError("sample must be finite")
+    for pattern in patterns:
+        _check_levels(pattern.alpha, pattern.beta, n_mc)
+
+    low = sorted({v for p in patterns for v, dr in p.conditioning if dr == "L"})
+    direct = has_column_ties(u[:, conditioning]) or has_column_ties(1.0 - u[:, low])
+    lower_counts = {(): n_mc}
+    strict_counts = {}
+    results = []
+    for pattern in patterns:
+        x = np.column_stack(
+            [1.0 - u[:, v] if dr == "L" else u[:, v] for v, dr in pattern.conditioning]
+        )
+        y = u[:, pattern.target]
+        if pattern.target_direction == "L":
+            y = 1.0 - y
+        if pattern.conditioning not in strict_counts:
+            strict_counts[pattern.conditioning] = (
+                strict_dominance_counts(x)
+                if direct
+                else _orthant_counts(u, pattern.conditioning, lower_counts)
+            )
+        collapsed = _Collapsed(x, y, strict_counts[pattern.conditioning])
+        result = _tail_measure(collapsed, pattern.alpha, pattern.beta, "upper")
+        metadata = dict(result.metadata)
+        metadata.update(
+            {
+                "pattern": pattern.label,
+                "target": pattern.target,
+                "target_direction": pattern.target_direction,
+                "conditioning": list(pattern.conditioning),
+                "n_mc": n_mc,
+            }
+        )
+        results.append(replace(result, metadata=metadata))
+    return tuple(results)
+
+
+def _orthant_counts(u, conditioning, lower_counts):
+    # N_S by inclusion-exclusion over the Low columns S; lower_counts caches
+    # M_U by sorted column tuple and starts as {(): m}
+    high = [v for v, dr in conditioning if dr == "H"]
+    low = [v for v, dr in conditioning if dr == "L"]
+    counts = np.zeros(u.shape[0], dtype=np.int64)
+    for k in range(len(low) + 1):
+        for t in combinations(low, k):
+            key = tuple(sorted(high + list(t)))
+            if key not in lower_counts:
+                lower_counts[key] = strict_dominance_counts(u[:, list(key)])
+            counts += (-1) ** k * lower_counts[key]
+    if not high:
+        counts -= 1
+    return counts
 
 
 def tail_concentration(pseudo_pairs, alpha, beta_grid):

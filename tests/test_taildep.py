@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from powerdep.taildep import (
 )
 from powerdep.vine import VineEdge, VineModel, VineStructure
 
+from counting_oracle import brute_counts
 from kendall_oracle import analytic_kendall_fn
 
 GRID_99 = np.linspace(0.01, 0.99, 99)
@@ -91,9 +93,10 @@ def manual_model(trees, copulas):
 
 
 def simulated_scenario(model, pattern, n_mc=20_000, seed=0):
-    return scenario_tail_coefficient(
-        vine.simulate(model, n_mc, seed), pattern, n_mc=n_mc
+    (result,) = scenario_tail_coefficient(
+        vine.simulate(model, n_mc, seed), (pattern,), n_mc=n_mc
     )
+    return result
 
 
 def three_var_model(pair_01):
@@ -580,6 +583,150 @@ class TestScenarioCoefficient:
             simulated_scenario(model, p, n_mc=1000, seed=0)
         with pytest.raises(DomainError):
             simulated_scenario(model, p, n_mc=500, seed=0)
+
+
+def direction_patterns(n_cond, **levels):
+    # every High/Low direction of conditioning columns 1..n_cond, with both
+    # target directions, target column 0
+    return tuple(
+        ScenarioPattern(
+            conditioning=tuple(zip(range(1, n_cond + 1), letters)),
+            target=0,
+            target_direction=target,
+            **levels,
+        )
+        for letters in product("HL", repeat=n_cond)
+        for target in "HL"
+    )
+
+
+def reflected(u, pattern):
+    # the pattern's working sample: Low columns reflected, target last
+    cols = [v for v, _ in pattern.conditioning] + [pattern.target]
+    dirs = [d for _, d in pattern.conditioning] + [pattern.target_direction]
+    return np.column_stack(
+        [1.0 - u[:, v] if d == "L" else u[:, v] for v, d in zip(cols, dirs)]
+    )
+
+
+def reference_json(u, pattern):
+    # today's definition: the upper measure on the explicitly reflected sample
+    ref = q_upper_kendall(reflected(u, pattern), pattern.alpha, pattern.beta)
+    out = ref.to_json_dict()
+    out["metadata"].update(
+        {
+            "pattern": pattern.label,
+            "target": pattern.target,
+            "target_direction": pattern.target_direction,
+            "conditioning": list(pattern.conditioning),
+            "n_mc": u.shape[0],
+        }
+    )
+    return out
+
+
+def recording_counts(monkeypatch):
+    calls = []
+    real = taildep.strict_dominance_counts
+
+    def record(points):
+        calls.append(np.array(points))
+        return real(points)
+
+    monkeypatch.setattr(taildep, "strict_dominance_counts", record)
+    return calls
+
+
+class TestScenarioOrthants:
+    @pytest.mark.parametrize("n_cond", [1, 2, 3])
+    def test_every_direction_matches_the_reflected_reference(
+        self, n_cond, monkeypatch
+    ):
+        u = uniform_sample(2000, n_cond + 1, seed=60 + n_cond)
+        assert not has_column_ties(u) and not has_column_ties(1.0 - u)
+        patterns = direction_patterns(n_cond, beta=0.1)
+        calls = recording_counts(monkeypatch)
+        results = scenario_tail_coefficient(u, patterns, n_mc=2000)
+        # one lower-orthant count per non-empty column subset, shared by
+        # all 2^(n_cond + 1) patterns
+        assert len(calls) == 2**n_cond - 1
+        monkeypatch.undo()
+        assert len(results) == len(patterns)
+        for pattern, result in zip(patterns, results):
+            assert result.to_json_dict() == reference_json(u, pattern)
+
+    @pytest.mark.parametrize("n_cond", [1, 2, 3])
+    def test_orthant_counts_match_brute_force(self, n_cond):
+        u = uniform_sample(1500, n_cond + 1, seed=70 + n_cond)
+        lower_counts = {(): 1500}
+        for pattern in direction_patterns(n_cond)[::2]:
+            x = reflected(u, pattern)[:, :-1]
+            counts = taildep._orthant_counts(u, pattern.conditioning, lower_counts)
+            assert np.array_equal(counts, brute_counts(x, x, True))
+
+    def test_same_conditioning_letters_share_one_count(self, monkeypatch):
+        u = uniform_sample(2000, 4, seed=80)
+        cond = ((1, "L"), (2, "H"), (3, "H"))
+        high = ScenarioPattern(conditioning=cond, target=0)
+        low = ScenarioPattern(conditioning=cond, target=0, target_direction="L")
+        calls = recording_counts(monkeypatch)
+        both = scenario_tail_coefficient(u, (high, low), n_mc=2000)
+        # LHH needs M_{w,s} and M_{d,w,s}; LHH:L adds nothing
+        assert sorted(c.shape[1] for c in calls) == [2, 3]
+        monkeypatch.undo()
+        assert [r.to_json_dict() for r in both] == [
+            reference_json(u, high),
+            reference_json(u, low),
+        ]
+
+    def test_column_ties_fall_back_to_direct_counts(self, monkeypatch):
+        u = np.clip(np.round(uniform_sample(2000, 3, seed=81), 2), 0.005, 0.995)
+        assert has_column_ties(u[:, 1:])
+        patterns = direction_patterns(2)
+        # inclusion-exclusion is wrong here, so the fallback must run
+        hl = patterns[2]
+        x = reflected(u, hl)[:, :-1]
+        ie = taildep._orthant_counts(u, hl.conditioning, {(): 2000})
+        assert not np.array_equal(ie, brute_counts(x, x, True))
+        calls = recording_counts(monkeypatch)
+        results = scenario_tail_coefficient(u, patterns, n_mc=2000)
+        # one direct count per conditioning pattern, on its reflected columns
+        assert len(calls) == 4
+        assert np.array_equal(calls[1], x)
+        monkeypatch.undo()
+        for pattern, result in zip(patterns, results):
+            assert result.to_json_dict() == reference_json(u, pattern)
+
+    def test_reflection_merge_falls_back_to_direct_counts(self, monkeypatch):
+        # 1e-17 and 2e-17 are distinct, but 1 - u maps both to 1.0
+        u = uniform_sample(2000, 2, seed=82)
+        u[0, 1], u[1, 1] = 1e-17, 2e-17
+        assert not has_column_ties(u)
+        assert has_column_ties(1.0 - u[:, 1:])
+        low = ScenarioPattern(conditioning=((1, "L"),), target=0)
+        x = reflected(u, low)[:, :-1]
+        ie = taildep._orthant_counts(u, low.conditioning, {(): 2000})
+        assert not np.array_equal(ie, brute_counts(x, x, True))
+        calls = recording_counts(monkeypatch)
+        (result,) = scenario_tail_coefficient(u, (low,), n_mc=2000)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], x)
+        monkeypatch.undo()
+        assert result.to_json_dict() == reference_json(u, low)
+
+    def test_every_pattern_is_checked_before_the_first_count(self, monkeypatch):
+        u = uniform_sample(2000, 4, seed=83)
+        good = direction_patterns(3)[:4]
+        calls = recording_counts(monkeypatch)
+        far = ScenarioPattern(conditioning=((1, "H"), (5, "L")), target=0)
+        with pytest.raises(DomainError):
+            scenario_tail_coefficient(u, good + (far,), n_mc=2000)
+        thin = ScenarioPattern(conditioning=((1, "H"),), target=0, alpha=0.005)
+        with pytest.raises(ResolutionError):
+            scenario_tail_coefficient(u, good + (thin,), n_mc=2000)
+        with pytest.raises(DomainError):
+            scenario_tail_coefficient(u, good, n_mc=999)
+        assert calls == []
 
 
 class TestTailConcentration:

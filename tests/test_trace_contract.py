@@ -48,8 +48,15 @@ def test_traced_quad_hour_draws_once_and_counts_once_per_sample(perfbench):
     names = [span[0] for span in recorder.spans]
     assert names.count("pipeline.analyze_hour") == 1
     assert names.count("vine.simulate") == 1
-    # one count for lambda_K (both sides) and one per scenario
-    assert recorder.counts["counting.calls"] == 1 + len(result.scenario_table)
+    # one count for lambda_K (both sides), and the default scenarios share
+    # one lower-orthant count per column subset they need: {d}, {w},
+    # {d,w}, {d,s}, {w,s} and {d,w,s}, so one 3-column count per sample
+    assert len(result.scenario_table) == 5
+    assert recorder.counts["counting.calls"] == 7
+    assert (
+        recorder.counts["counting.rows_ge3"]
+        == config.n_mc_lambda + config.n_mc_scenario
+    )
 
 
 def test_every_traced_layer_resolves_and_binds_existing_parameters(perfbench):
