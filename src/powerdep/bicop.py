@@ -207,12 +207,13 @@ def _t_hinv_base(p, v, rho, nu):
 
 
 def _clayton_logs(u, v, theta):
-    # log of s = u^-theta + v^-theta - 1, computed without overflow
+    # log of s = u^-theta + v^-theta - 1 = e^hi (1 + e^(lo - hi) (1 - e^-lo)),
+    # computed without overflow and without cancellation as theta -> 0
     a = -theta * np.log(u)
     b = -theta * np.log(v)
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
-    return hi + np.log1p(np.exp(lo - hi) - np.exp(-hi))
+    return hi + np.log1p(-np.exp(lo - hi) * np.expm1(-lo))
 
 
 def _clayton_logpdf_base(u, v, theta):
@@ -293,25 +294,83 @@ def _frank_g(x, theta):
     return np.expm1(-theta * x)
 
 
-def _frank_logpdf_base(u, v, theta):
-    # continuous limit 1 at theta -> 0; tiny |theta| is clipped to keep the
-    # expressions finite during optimisation
-    th = np.where(np.abs(theta) < 1e-6, np.copysign(1e-6, theta), theta)
-    g1 = _frank_g(1.0, th)
-    denom = g1 + _frank_g(u, th) * _frank_g(v, th)
+# Taylor coefficients of F(z) = f(z) / z and its first two derivatives for
+# f = expm1 and f = log1p: F^(j)(z) = sum_k c[k, j] z^k
+_TAYLOR_K = np.arange(10.0)[:, None]
+_TAYLOR = {
+    np.expm1: 1.0 / (special.factorial(_TAYLOR_K) * (_TAYLOR_K + np.arange(1.0, 4.0))),
+    np.log1p: (-1.0) ** (_TAYLOR_K + np.arange(3.0))
+    * special.poch(_TAYLOR_K + 1.0, np.arange(3.0))
+    / (_TAYLOR_K + np.arange(1.0, 4.0)),
+}
+# the first two derivatives of each f
+_F_DERIVS = {
+    np.expm1: (np.exp, np.exp),
+    np.log1p: (lambda z: 1.0 / (1.0 + z), lambda z: -1.0 / (1.0 + z) ** 2),
+}
+
+
+def _over_z(f, z, order=0):
+    """F(z) = f(z) / z and its derivatives up to ``order`` (at most 2).
+
+    ``f`` is ``np.expm1`` or ``np.log1p``, so F extends smoothly through
+    z = 0.  Away from 0 the derivatives follow F^(k) = (f^(k) - k F^(k-1)) / z;
+    within |z| < 0.01, where that recursion cancels, a 10-term Taylor series
+    replaces all of them.
+    """
+    shape = np.shape(z)
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = [f(z) / z]
+        for k in range(1, order + 1):
+            out.append((_F_DERIVS[f][k - 1](z) - k * out[-1]) / z)
+    small = np.abs(z) < 0.01
+    if small.any():
+        powers = np.ones((np.count_nonzero(small), _TAYLOR_K.size))
+        powers[:, 1:] = z[small, None]
+        series = np.cumprod(powers, axis=1) @ _TAYLOR[f]
+        for j, values in enumerate(out):
+            values[small] = series[:, j]
+    return [values.reshape(shape) for values in out]
+
+
+def _scaled_expm1_ratio(c, x, k, theta, order=0):
+    """f = x e^(-c theta) E(k theta), E(z) = expm1(z) / z; with ``order=2`` also f' and f''."""
+    e = _over_z(np.expm1, k * theta, order)
+    scale = x * np.exp(-c * theta)
+    if order == 0:
+        return [scale * e[0]]
+    return [
+        scale * e[0],
+        scale * (k * e[1] - c * e[0]),
+        scale * (c * c * e[0] - 2.0 * c * k * e[1] + k * k * e[2]),
+    ]
+
+
+def _frank_terms(u, v, theta, order=0):
+    """The two terms of the Frank density's denominator, as ``_scaled_expm1_ratio`` lists.
+
+    With E(z) = expm1(z) / z the density is e^(-theta (u + v)) E(-theta)
+    / (t1 + t2)^2 for t1 = e^(-theta) (1 - u) E(theta (1 - u)) and
+    t2 = u e^(-theta v) E(-theta u).  Both terms are positive for every
+    theta, so no digit cancels at large |theta| or near theta = 0, where
+    the density is 1.
+    """
     return (
-        np.log(np.abs(th))
-        + np.log(np.abs(g1))
-        - th * (u + v)
-        - 2.0 * np.log(np.abs(denom))
+        _scaled_expm1_ratio(1.0, 1.0 - u, 1.0 - u, theta, order),
+        _scaled_expm1_ratio(v, u, -u, theta, order),
     )
 
 
+def _frank_logpdf_base(u, v, theta):
+    (t1,), (t2,) = _frank_terms(u, v, theta)
+    (e_theta,) = _over_z(np.expm1, -theta)
+    return np.log(e_theta) - 2.0 * np.log(t1 + t2) - theta * (u + v)
+
+
 def _frank_hfunc_base(u, v, theta):
-    g1 = _frank_g(1.0, theta)
-    gu = _frank_g(u, theta)
-    gv = _frank_g(v, theta)
-    return gu * np.exp(-theta * v) / (g1 + gu * gv)
+    (t1,), (t2,) = _frank_terms(u, v, theta)
+    return t2 / (t1 + t2)
 
 
 def _frank_hinv_base(p, v, theta):
@@ -569,8 +628,7 @@ def _fit_mle(family, rotation, obs, tau_hat):
     if family == "studentt":
         params, loglik, converged, extra = _fit_studentt(u, v, tau_init)
     else:
-        params, loglik, converged = _fit_one_param(family, u, v, tau_init)
-        extra = {}
+        params, loglik, converged, extra = _fit_one_param(family, u, v, tau_init)
 
     if not converged:
         raise OptimizationError(
@@ -597,23 +655,153 @@ def _fit_mle(family, rotation, obs, tau_hat):
     )
 
 
+def _newton(derivs, x, bounds, cap):
+    """Safeguarded Newton ascent, one independent solve per entry of ``x``.
+
+    ``derivs(rows, x)`` returns the score and curvature of the objective of
+    each listed row at ``x``.  Steps are clipped to +-``cap``, a
+    non-negative curvature gives a ``cap / 4`` step uphill, and x stays
+    within ``bounds``.  A row stops once its step falls below 1e-12 times
+    max(1, |x|), so an optimum at a bound stops there.
+
+    Returns
+    -------
+    x : ndarray
+    converged : ndarray of bool
+    iters : ndarray of int
+        Newton steps taken by each row.
+    """
+    lo, hi = bounds
+    x = np.array(x, dtype=np.float64)
+    converged = np.zeros(x.size, dtype=bool)
+    iters = np.zeros(x.size, dtype=np.int64)
+    active = np.arange(x.size)
+    for _ in range(100):
+        r = x[active]
+        score, curv = derivs(active, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(-score / curv, -cap, cap)
+        step = np.where(curv < 0.0, newton, 0.25 * cap * np.sign(score))
+        new = np.clip(r + step, lo, hi)
+        x[active] = new
+        iters[active] += 1
+        done = np.abs(new - r) < 1e-12 * np.maximum(1.0, np.abs(r))
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return x, converged, iters
+
+
+def _gauss_derivs(u, v):
+    # the summed log density depends on the data only through n, sum(x^2 + y^2)
+    # and sum(x y); its score is P / s^2 with s = 1 - rho^2
+    x = special.ndtri(u)
+    y = special.ndtri(v)
+    n, sq, cross = x.size, float(np.sum(x * x + y * y)), float(np.sum(x * y))
+
+    def derivs(rho):
+        s = 1.0 - rho * rho
+        p = n * rho * s - rho * sq + (1.0 + rho * rho) * cross
+        dp = n * (1.0 - 3.0 * rho * rho) - sq + 2.0 * rho * cross
+        return p / (s * s), dp / (s * s) + 4.0 * rho * p / (s * s * s)
+
+    return derivs
+
+
+def _clayton_derivs(u, v):
+    # with a = -ln u, b = -ln v and G = ln(e^(theta a) + e^(theta b) - 1) / theta,
+    # the log density is ln(1 + theta) + (theta + 1)(a + b) - (1 + 2 theta) G.
+    # For hi = max(a, b) and lo = min(a, b), G = hi + g ln(1 + theta g) / (theta g)
+    # with g = lo e^(-theta (hi - lo)) E(-theta lo), which is smooth as theta -> 0
+    a = -np.log(u)
+    b = -np.log(v)
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    n, ab = u.size, float(np.sum(a + b))
+
+    def derivs(theta):
+        g, g1, g2 = _scaled_expm1_ratio(hi - lo, lo, -lo, theta, 2)
+        x1 = g + theta * g1
+        lam, lam1, lam2 = _over_z(np.log1p, theta * g, 2)
+        big_g = np.sum(hi + g * lam)
+        big_g1 = np.sum(g1 * lam + g * lam1 * x1)
+        big_g2 = np.sum(
+            g2 * lam
+            + 2.0 * g1 * lam1 * x1
+            + g * lam2 * x1 * x1
+            + g * lam1 * (2.0 * g1 + theta * g2)
+        )
+        score = n / (1.0 + theta) + ab - 2.0 * big_g - (1.0 + 2.0 * theta) * big_g1
+        curv = -n / (1.0 + theta) ** 2 - 4.0 * big_g1 - (1.0 + 2.0 * theta) * big_g2
+        return score, curv
+
+    return derivs
+
+
+def _gumbel_derivs(u, v):
+    # with lx = ln(-ln u), ly = ln(-ln v), M = ln(e^(theta lx) + e^(theta ly))
+    # and s = e^(M / theta), the log density is -s + (theta - 1)(lx + ly)
+    # + M / theta - 2 M + ln(s + theta - 1), up to a constant in theta
+    lx = np.log(-np.log(u))
+    ly = np.log(-np.log(v))
+    lxy = float(np.sum(lx + ly))
+    d = lx - ly
+
+    def derivs(theta):
+        big_m = np.logaddexp(theta * lx, theta * ly)
+        w = np.exp(theta * lx - big_m)
+        m1 = ly + w * d
+        m2 = w * (1.0 - w) * d * d
+        k = big_m / theta
+        k1 = (m1 - k) / theta
+        k2 = (m2 - 2.0 * k1) / theta
+        s = np.exp(k)
+        s1 = s * k1
+        s2 = s * (k2 + k1 * k1)
+        r = 1.0 / (s + theta - 1.0)
+        score = lxy + np.sum(-s1 + k1 - 2.0 * m1 + (s1 + 1.0) * r)
+        curv = np.sum(-s2 + k2 - 2.0 * m2 + s2 * r - ((s1 + 1.0) * r) ** 2)
+        return score, curv
+
+    return derivs
+
+
+def _frank_derivs(u, v):
+    # the log density is ln E(-theta) - 2 ln(t1 + t2) - theta (u + v)
+    n, uv = u.size, float(np.sum(u + v))
+
+    def derivs(theta):
+        a0, a1, a2 = (float(e) for e in _over_z(np.expm1, -theta, 2))
+        t, t1, t2 = (p + q for p, q in zip(*_frank_terms(u, v, theta, order=2)))
+        r1 = t1 / t
+        score = -n * a1 / a0 - 2.0 * r1.sum() - uv
+        curv = n * (a2 / a0 - (a1 / a0) ** 2) - 2.0 * np.sum(t2 / t - r1 * r1)
+        return score, curv
+
+    return derivs
+
+
+# family -> (derivs(u, v), which returns theta -> score and curvature of the
+# summed log density, and the Newton step cap in theta)
+_ONE_PARAM = {
+    "gaussian": (_gauss_derivs, 0.2),
+    "clayton": (_clayton_derivs, 2.0),
+    "gumbel": (_gumbel_derivs, 1.0),
+    "frank": (_frank_derivs, 4.0),
+}
+
+
 def _fit_one_param(family, u, v, tau_init):
-    (lo, hi) = _PARAM_BOUNDS[family][0]
-    x0 = float(np.clip(tau_init, lo, hi))
-    logpdf = _BASE[family][_LOGPDF]
-
-    def nll(theta):
-        return -float(np.sum(logpdf(u, v, theta[0])))
-
-    res = optimize.minimize(
-        nll,
-        x0=[x0],
-        method="L-BFGS-B",
-        bounds=[(lo, hi)],
-        options={"maxiter": 200, "ftol": 1e-10},
+    # safeguarded Newton on the closed-form score; the loglik is the base density's
+    bounds = _PARAM_BOUNDS[family][0]
+    make_derivs, cap = _ONE_PARAM[family]
+    derivs = make_derivs(u, v)
+    x, converged, iters = _newton(
+        lambda _, t: derivs(float(t[0])), [np.clip(tau_init, *bounds)], bounds, cap
     )
-    theta = float(res.x[0])
-    return (theta,), -float(res.fun), bool(res.success)
+    theta = float(x[0])
+    loglik = float(np.sum(_BASE[family][_LOGPDF](u, v, theta)))
+    return (theta,), loglik, bool(converged[0]), {"newton_iters": int(iters[0])}
 
 
 def _t_rho_derivs(sq, cross, nu, rho):
@@ -640,10 +828,8 @@ def _t_profile(qx, qy, nu, rho0):
 
     ``qx`` and ``qy`` hold the t quantiles of the two margins, shape (k, n),
     one row per entry of the (k, 1) column ``nu``.  Every row starts at
-    ``rho0`` and takes safeguarded Newton steps on the closed-form score:
-    steps are clipped to +-0.2, a non-negative curvature gives a 0.05 step
-    uphill, and rho stays within its bounds.  A row stops once its step
-    falls below 1e-12; rows are solved independently.
+    ``rho0`` and takes the safeguarded Newton steps of ``_newton`` on the
+    closed-form score, clipped to +-0.2; rows are solved independently.
 
     Returns
     -------
@@ -652,28 +838,15 @@ def _t_profile(qx, qy, nu, rho0):
     iters : ndarray of int, shape (k,)
         Newton steps taken by each row.
     """
-    lo, hi = _PARAM_BOUNDS["studentt"][0]
     sq = qx * qx + qy * qy
     cross = qx * qy
-    k = qx.shape[0]
-    rho = np.full(k, float(rho0))
-    converged = np.zeros(k, dtype=bool)
-    iters = np.zeros(k, dtype=np.int64)
-    active = np.arange(k)
-    for _ in range(100):
-        r = rho[active]
-        score, curv = _t_rho_derivs(sq[active], cross[active], nu[active], r[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.clip(-score / curv, -0.2, 0.2)
-        step = np.where(curv < 0.0, newton, 0.05 * np.sign(score))
-        new = np.clip(r + step, lo, hi)
-        rho[active] = new
-        iters[active] += 1
-        done = np.abs(new - r) < 1e-12
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
+
+    def derivs(rows, rho):
+        return _t_rho_derivs(sq[rows], cross[rows], nu[rows], rho[:, None])
+
+    rho, converged, iters = _newton(
+        derivs, np.full(qx.shape[0], float(rho0)), _PARAM_BOUNDS["studentt"][0], 0.2
+    )
     loglik = _t_logpdf_quant(qx, qy, rho[:, None], nu).sum(axis=1)
     return rho, loglik, converged, iters
 
@@ -695,18 +868,19 @@ def _fit_studentt(u, v, tau_init):
     logliks = profile(grid)
     best = int(np.argmax(logliks))
 
-    bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, len(grid) - 1)]
-    refine = optimize.minimize_scalar(
-        lambda nu: -profile(nu)[0],
-        bounds=(bracket_lo, bracket_hi),
-        method="bounded",
-        options={"xatol": 1e-3},
-    )
-    # bounded Brent returns the best point it evaluated
-    nu_hat = float(refine.x)
-    if evals[nu_hat][1] < logliks[best]:
-        nu_hat = float(grid[best])
+    # a grid winner at a bound stands if one xatol step inward does not beat
+    # it: the unimodality that Brent assumes puts the optimum within xatol
+    xatol = 1e-3
+    inward = {0: nu_lo + xatol, len(grid) - 1: nu_hi - xatol}.get(best)
+    if inward is None or profile(inward)[0] > logliks[best]:
+        optimize.minimize_scalar(
+            lambda nu: -profile(nu)[0],
+            bounds=(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]),
+            method="bounded",
+            options={"xatol": xatol},
+        )
+    # the best point evaluated on the grid, by the inward step or by Brent
+    nu_hat = max(evals, key=lambda nu: evals[nu][1])
     rho_hat, loglik, ok, _ = evals[nu_hat]
     diagnostics = {
         "nu_evals": len(evals),

@@ -241,11 +241,6 @@ def _check_columns(u):
     return u
 
 
-def _tau_weight(x, y):
-    tau = stats.kendalltau(x, y).statistic
-    return 0.0 if np.isnan(tau) else abs(float(tau))
-
-
 def _clip_stream(values):
     return np.clip(values, _STREAM_CLIP, 1.0 - _STREAM_CLIP)
 
@@ -287,16 +282,15 @@ class _Streams:
 INDEP_TEST_LEVEL = 0.01
 
 
-def _fit_edge(u_x, u_y, candidates, indep_level):
+def _fit_edge(u_x, u_y, test, candidates, indep_level):
     """AIC family selection behind a Kendall tau independence pre-test.
 
-    When the test cannot reject independence at ``indep_level`` the edge
-    gets the independence copula outright, as in the standard sequential
-    vine toolchain; pass ``indep_level=None`` for pure AIC selection.
+    ``test`` is ``stats.kendalltau(u_x, u_y)``.  When it cannot reject
+    independence at ``indep_level`` the edge gets the independence copula
+    outright, as in the standard sequential vine toolchain; pass
+    ``indep_level=None`` for pure AIC selection.
     """
-    tau = None
     if indep_level is not None:
-        test = stats.kendalltau(u_x, u_y)
         p_value = 1.0 if np.isnan(test.pvalue) else float(test.pvalue)
         if p_value > indep_level:
             cop = BivariateCopula("independence")
@@ -310,8 +304,10 @@ def _fit_edge(u_x, u_y, candidates, indep_level):
                 "indep_test_p": p_value,
             }
             return cop, meta
-        tau = test.statistic  # every candidate fit reads the test's tau
-    sel = select_family_aic(np.column_stack([u_x, u_y]), candidates, tau=tau)
+    # every candidate fit reads the test's tau
+    sel = select_family_aic(
+        np.column_stack([u_x, u_y]), candidates, tau=test.statistic
+    )
     best = sel.best
     meta = {
         "loglik": best.loglik,
@@ -331,7 +327,8 @@ def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
 
     Each tree is the greedy maximum spanning tree under |Kendall tau| on
     the node pairs that the proximity condition allows; weight ties
-    break lexicographically by edge.
+    break lexicographically by edge.  The chosen edges' fits reuse the
+    Kendall tau tests of the weights.
     """
     n = u.shape[1]
     stream = _Streams({(v, frozenset()): u[:, v] for v in range(n)}, {})
@@ -343,9 +340,12 @@ def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
     allowed = list(itertools.combinations(range(n), 2))
     for level in range(1, n):
         weighted = []
+        tests = {}
         for i, j in allowed:
             edge = VineEdge(tuple(nodes[i] ^ nodes[j]), tuple(nodes[i] & nodes[j]))
-            weighted.append((-_tau_weight(*stream.pair(edge)), edge, i, j))
+            tests[edge] = stats.kendalltau(*stream.pair(edge))
+            tau = tests[edge].statistic
+            weighted.append((0.0 if np.isnan(tau) else -abs(float(tau)), edge, i, j))
         weighted.sort(key=lambda t: t[:2])
         parent = list(range(len(nodes)))
         chosen = sorted(
@@ -361,7 +361,7 @@ def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
             if set(chosen[p][1:]) & set(chosen[q][1:])
         ]
         for edge in tree:
-            cop, meta = _fit_edge(*stream.pair(edge), candidates, indep_level)
+            cop, meta = _fit_edge(*stream.pair(edge), tests[edge], candidates, indep_level)
             stream.add(edge, cop)
             fit_meta[edge] = meta
         trees.append(tree)

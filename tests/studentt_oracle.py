@@ -1,9 +1,11 @@
 """Student-t pair-copula fit with an L-BFGS-B search over rho, the oracle for the Newton profile.
 
 ``lbfgsb_fit_studentt(u, v, tau_init)`` profiles the likelihood over the
-same 12-point nu grid and bounded refinement as ``bicop._fit_studentt``,
-but maximises over rho at each nu with scipy's L-BFGS-B and
-finite-difference gradients instead of the closed-form score.  It returns
+same 12-point nu grid as ``bicop._fit_studentt`` and always refines nu by
+bounded Brent around the grid's best point, also at a bound of nu, where
+``_fit_studentt`` stops once one step inward fails to beat the bound.  It
+maximises over rho at each nu with scipy's L-BFGS-B and finite-difference
+gradients instead of the closed-form score, and returns
 ``((rho, nu), loglik, converged)``.
 """
 

@@ -11,6 +11,7 @@ from powerdep.bicop import EPS, BivariateCopula
 from powerdep.errors import DomainError, FamilyInfeasibleError, OptimizationError
 import copula_oracle
 from gumbel_oracle import bisect_hinv
+from onepar_oracle import lbfgsb_fit_one_param
 from studentt_oracle import lbfgsb_fit_studentt
 
 
@@ -447,6 +448,37 @@ def test_studentt_fit_matches_profile_oracle_at_the_nu_bounds():
     assert _assert_matches_oracle(heavy) < 3.0
 
 
+@pytest.mark.parametrize(
+    "data,nu",
+    [
+        (_data_with_rho("gaussian", 0.5, 2000, seed=70), 30.0),
+        (bicop.sample(make("studentt", 0, (0.3, 2.1)), 2000, seed=0), 2.1),
+    ],
+    ids=["upper", "lower"],
+)
+def test_studentt_nu_search_stops_at_a_confirmed_bound(data, nu):
+    # the grid's best point is a bound and one xatol step inward does not beat it
+    fit = bicop.fit_mle("studentt", 0, data)
+    assert fit.diagnostics["nu_evals"] == 13
+    assert fit.copula.params[1] == nu
+    assert fit.boundary
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        bicop.sample(make("studentt", 0, (0.5, 25.0)), 2000, seed=21),
+        bicop.sample(make("studentt", 0, (0.3, 2.1)), 2000, seed=1),
+    ],
+    ids=["upper", "lower"],
+)
+def test_studentt_nu_search_refines_when_the_inward_step_beats_the_bound(data):
+    fit = bicop.fit_mle("studentt", 0, data)
+    # the grid, the inward step and the bracket refinement
+    assert fit.diagnostics["nu_evals"] > 13
+    _assert_matches_oracle(data)
+
+
 def _five_point(fun, x, h):
     """Central differences of order h^4: first and second derivative."""
     f = {k: fun(x + k * h) for k in (-2, -1, 0, 1, 2)}
@@ -517,6 +549,112 @@ def test_unconverged_t_profile_raises_optimization_error(monkeypatch):
         bicop.fit_mle("studentt", 0, data)
     rho, nu = info.value.last_params
     assert -1.0 < rho < 1.0 and 2.1 <= nu <= 30.0
+
+
+ONE_PARAM_DATA = {
+    "gaussian": make("gaussian", 0, (0.5,)),
+    "clayton": make("clayton", 0, (2.0,)),
+    "gumbel": make("gumbel", 0, (1.8,)),
+    "frank": make("frank", 0, (4.0,)),
+}
+
+# (family, theta, five-point step): interior points, then points near each
+# bound; Frank crosses theta = 0 and Gumbel reaches its bound at 1
+ONE_PARAM_POINTS = [
+    ("gaussian", -0.7, 1e-3),
+    ("gaussian", 0.3, 1e-3),
+    ("gaussian", 1.0 - 1e-5, 1e-7),
+    ("gaussian", -(1.0 - 1e-5), 1e-7),
+    ("clayton", 0.5, 1e-3),
+    ("clayton", 4.0, 1e-3),
+    ("clayton", 27.9, 1e-2),
+    ("clayton", 3e-5, 7e-6),
+    ("clayton", 1e-3, 2e-4),
+    ("gumbel", 1.0, 1e-5),
+    ("gumbel", 1.0 + 1e-6, 1e-5),
+    ("gumbel", 2.5, 1e-3),
+    ("gumbel", 19.9, 1e-2),
+    ("frank", -34.9, 1e-2),
+    ("frank", -3.0, 1e-3),
+    ("frank", -1e-7, 1e-3),
+    ("frank", 1e-7, 1e-3),
+    ("frank", 5e-3, 1e-3),
+    ("frank", 8.0, 1e-3),
+    ("frank", 34.9, 1e-2),
+]
+
+
+@pytest.mark.parametrize("family,theta,h", ONE_PARAM_POINTS)
+def test_one_param_score_and_curvature_match_central_differences(family, theta, h):
+    u, v = np.clip(bicop.sample(ONE_PARAM_DATA[family], 300, seed=19), EPS, 1.0 - EPS).T
+    score, curv = bicop._ONE_PARAM[family][0](u, v)(theta)
+    logpdf = bicop._BASE[family][bicop._LOGPDF]
+    first, second = _five_point(lambda t: float(np.sum(logpdf(u, v, t))), theta, h)
+    assert_allclose(score, first, rtol=1e-6, atol=1e-6)
+    # the difference quotient loses digits to rounding in the log density
+    assert_allclose(curv, second, rtol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "f,at_zero", [(np.expm1, (1.0, 0.5, 1.0 / 3.0)), (np.log1p, (1.0, -0.5, 2.0 / 3.0))]
+)
+def test_over_z_series_meets_the_recursion(f, at_zero):
+    assert_allclose([d[0] for d in bicop._over_z(f, np.zeros(1), 2)], at_zero, rtol=1e-15)
+    # either side of the |z| = 0.01 switch from the Taylor series to the recursion
+    for edge in (0.01, -0.01):
+        inside, outside = bicop._over_z(f, np.array([edge * (1 - 1e-9), edge * (1 + 1e-9)]), 2)[2]
+        assert_allclose(inside, outside, rtol=1e-9)
+
+
+def test_frank_log_density_keeps_its_digits_at_large_theta():
+    # the textbook denominator expm1(-theta) + expm1(-theta u) expm1(-theta v)
+    # cancels where u and v are both near 1; extended precision shows the truth
+    theta = 20.0
+    u, v = np.meshgrid(np.linspace(0.5, 0.999, 25), np.linspace(0.5, 0.999, 25))
+    t, ul, vl = np.longdouble(theta), u.astype(np.longdouble), v.astype(np.longdouble)
+    denom = np.expm1(-t) + np.expm1(-t * ul) * np.expm1(-t * vl)
+    exact = np.log(t * -np.expm1(-t)) - t * (ul + vl) - 2.0 * np.log(np.abs(denom))
+    assert_allclose(bicop._frank_logpdf_base(u, v, theta), exact.astype(np.float64), rtol=1e-10)
+
+
+ONE_PARAM_ORACLE_CASES = [
+    (family, *case) for family in ("gaussian", "clayton", "gumbel", "frank") for case in ORACLE_CASES
+]
+
+
+@pytest.mark.parametrize("family,data_family,n,rho", ONE_PARAM_ORACLE_CASES)
+def test_one_param_newton_matches_lbfgsb_oracle(family, data_family, n, rho):
+    data = _data_with_rho(data_family, rho, n, seed=ORACLE_CASES.index((data_family, n, rho)))
+    tau = stats.kendalltau(data[:, 0], data[:, 1]).statistic
+    for rotation in (0, 90, 180, 270) if family in ("clayton", "gumbel") else (0,):
+        if bicop._required_sign(family, rotation) * tau < 0:
+            continue
+        fit = bicop.fit_mle(family, rotation, data)
+        u, v = bicop._reflect(*np.clip(data, EPS, 1.0 - EPS).T, rotation)
+        # L-BFGS-B may end its line search "abnormally" on finite-difference
+        # noise next to the optimum; its iterate still bounds the loglik
+        (theta,), loglik, _ = lbfgsb_fit_one_param(family, u, v, fit.diagnostics["tau_init"])
+        assert fit.loglik >= loglik - 1e-8
+        # L-BFGS-B stops on a 1e-10 relative change in the objective
+        assert abs(fit.copula.params[0] - theta) <= 1e-4 * max(1.0, abs(theta))
+        assert 0 < fit.diagnostics["newton_iters"] <= 20
+
+
+def test_unconverged_one_param_newton_raises_optimization_error(monkeypatch):
+    newton = bicop._newton
+
+    def never_converges(derivs, x, bounds, cap):
+        x, ok, iters = newton(derivs, x, bounds, cap)
+        return x, np.zeros_like(ok), iters
+
+    monkeypatch.setattr(bicop, "_newton", never_converges)
+    data = bicop.sample(make("clayton", 0, (2.0,)), 500, seed=8)
+    for family in ("gaussian", "clayton", "gumbel", "frank"):
+        with pytest.raises(OptimizationError) as info:
+            bicop.fit_mle(family, 0, data)
+        (theta,) = info.value.last_params
+        lo, hi = bicop._PARAM_BOUNDS[family][0]
+        assert lo <= theta <= hi
 
 
 def test_fit_clayton_on_negative_tau_is_infeasible():

@@ -297,8 +297,10 @@ class TestFit:
 
     @pytest.mark.parametrize("indep_level", [None, vine.INDEP_TEST_LEVEL])
     def test_edge_computes_kendall_tau_once(self, indep_level, monkeypatch):
+        # the edge fit reads the weight pass's test and computes no tau of its own
         u = gaussian_sample(RHO_3D, 400, seed=8)
-        expected = vine._fit_edge(u[:, 0], u[:, 1], bicop.DEFAULT_CANDIDATES, indep_level)
+        test = stats.kendalltau(u[:, 0], u[:, 1])
+        expected = bicop.select_family_aic(u[:, :2], bicop.DEFAULT_CANDIDATES).best.copula
         calls = []
         kendalltau = stats.kendalltau
 
@@ -308,11 +310,28 @@ class TestFit:
 
         monkeypatch.setattr(stats, "kendalltau", counted)
         copula, meta = vine._fit_edge(
-            u[:, 0], u[:, 1], bicop.DEFAULT_CANDIDATES, indep_level
+            u[:, 0], u[:, 1], test, bicop.DEFAULT_CANDIDATES, indep_level
         )
-        assert len(calls) == 1
-        assert (copula, meta) == expected
+        assert len(calls) == 0
+        assert copula == expected
         assert meta["family"] != "independence"
+
+    def test_fit_computes_one_kendall_tau_per_candidate_pair(self, monkeypatch):
+        # three pairs weigh tree 1 and one pair tree 2; the fits reuse them
+        u = gaussian_sample(RHO_3D, 400, seed=8)
+        expected = vine.fit_auto(u)
+        calls = []
+        kendalltau = stats.kendalltau
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kendalltau(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "kendalltau", counted)
+        model = vine.fit_auto(u)
+        assert len(calls) == 4
+        assert model.pair_copulas == expected.pair_copulas
+        assert model.fit_meta == expected.fit_meta
 
     def test_markov_chain_selects_chain_structure(self):
         # 0 and 2 are conditionally independent given 1, so tree 1 must
