@@ -29,6 +29,7 @@ from .errors import (
     FamilyInfeasibleError,
     OptimizationError,
     SelectionError,
+    sample_size,
 )
 
 EPS = 1e-12
@@ -472,10 +473,11 @@ def sample(copula, n, seed):
     -------
     ndarray, shape (n, 2)
     """
+    n = sample_size(n, "n")
     if n <= 0:
         raise DomainError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    w = rng.random((int(n), 2))
+    w = rng.random((n, 2))
     u = np.clip(w[:, 0], EPS, 1.0 - EPS)
     p = np.clip(w[:, 1], EPS, 1.0 - EPS)
     v = _BASE[copula.family][_HINV](p, u, *copula.params)

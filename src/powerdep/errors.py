@@ -2,9 +2,13 @@
 
 Every error carries a short machine-readable ``code`` so the command line
 layer can emit structured JSON without matching on exception classes.
+``sample_size`` is the one integer check of the Monte Carlo sizes, kept
+here because every layer that draws or counts a sample imports this module.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class PowerdepError(Exception):
@@ -108,3 +112,17 @@ class ConfigError(PowerdepError):
     """An analysis configuration value is out of range or inconsistent."""
 
     code = "config"
+
+
+def sample_size(value, name):
+    """``value`` as an int: a Python or numpy integer, else ``DomainError``.
+
+    Floats (even 70.0) and booleans raise rather than truncate, as
+    ``pipeline.integer`` does for configuration values.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

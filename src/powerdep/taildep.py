@@ -52,7 +52,7 @@ from .counting import (
     strict_dominance_counts,
     weak_dominance_counts,
 )
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, sample_size
 
 # Measures conditioned on fewer sample points than this are flagged
 # unreliable rather than silently returned.
@@ -480,7 +480,7 @@ def scenario_tail_coefficient(sample, patterns, n_mc):
     reflected columns directly.  Every pattern is checked before the
     first count.
     """
-    n_mc = int(n_mc)
+    n_mc = sample_size(n_mc, "n_mc")
     if n_mc < 1000:
         raise DomainError("n_mc must be at least 1000 for tail estimation")
     u = sample_prefix(sample, n_mc)

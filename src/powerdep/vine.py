@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     ResolutionError,
     StructureError,
+    sample_size,
 )
 from .taildep import RELIABILITY_FLOOR, sample_prefix
 
@@ -431,35 +432,64 @@ def _simulate_from_uniforms(model, w):
 
 def simulate(model, n, seed):
     """Draw n rows from the vine copula by inverse Rosenblatt transform."""
+    n = sample_size(n, "n")
     if n <= 0:
         raise DomainError("n must be positive")
     rng = np.random.default_rng(seed)
-    w = rng.random((int(n), model.structure.n_vars))
+    w = rng.random((n, model.structure.n_vars))
     return _simulate_from_uniforms(model, w)
 
 
-def _rank_corr(block):
-    # Spearman matrix of the columns, exactly symmetric with a unit diagonal
-    rho = np.corrcoef(stats.rankdata(block, axis=0), rowvar=False)
+def _ranks(cols):
+    """Ranks 1..n along the last axis of ``cols``, as ``stats.rankdata`` gives.
+
+    When every row of the block sorts strictly increasing, the ranks are
+    the positions of one argsort.  A repeated value (or a NaN, which no
+    comparison orders) sends the whole block to ``stats.rankdata``, the
+    exact reference.
+    """
+    srt = np.sort(cols, axis=-1)
+    if not np.all(srt[..., 1:] > srt[..., :-1]):
+        return stats.rankdata(cols, axis=-1)
+    del srt
+    order = np.argsort(cols, axis=-1)
+    ranks = np.empty(cols.shape)
+    positions = np.arange(1.0, cols.shape[-1] + 1.0)
+    np.put_along_axis(ranks, order, np.broadcast_to(positions, cols.shape), axis=-1)
+    return ranks
+
+
+def _rank_corr(ranks):
+    # Spearman matrix of the (d, n) rank rows, exactly symmetric with a unit
+    # diagonal
+    rho = np.corrcoef(ranks)
     upper = np.triu(rho, 1)
-    return upper + upper.T + np.eye(block.shape[1])
+    return upper + upper.T + np.eye(ranks.shape[0])
 
 
 def induced_spearman(sample, n_mc):
     """Model-implied Spearman matrix from the first ``n_mc`` rows of a vine sample.
 
     Returns the estimate matrix and its Monte Carlo standard error
-    matrix, the spread of the estimate over 20 equal batches.
+    matrix, the spread of the estimate over 20 equal batches of
+    ``n_mc // 20`` rows.  Each column of the prefix, and of every batch, is
+    ranked by one argsort: a vine sample is continuous, so its ranks are
+    a permutation of 1..n.  A block in which any column repeats a value
+    (a rounded sample, or clipped stream values) is ranked by
+    ``stats.rankdata`` with average ranks instead, so the matrices equal
+    those of ``stats.rankdata`` ranks whatever the input.
     """
-    n_mc = int(n_mc)
+    n_mc = sample_size(n_mc, "n_mc")
     if n_mc < 10_000:
         raise DomainError("n_mc must be at least 10000")
     u = sample_prefix(sample, n_mc)
+    rho = _rank_corr(_ranks(np.ascontiguousarray(u.T)))
     n_batches = 20
     size = n_mc // n_batches
-    batches = [_rank_corr(u[k * size : (k + 1) * size]) for k in range(n_batches)]
-    stderr = np.std(batches, axis=0, ddof=1) / np.sqrt(n_batches)
-    return _rank_corr(u), stderr
+    stacked = u[: n_batches * size].reshape(n_batches, size, u.shape[1])
+    ranks = _ranks(np.ascontiguousarray(stacked.transpose(0, 2, 1)))
+    stderr = np.std([_rank_corr(r) for r in ranks], axis=0, ddof=1) / np.sqrt(n_batches)
+    return rho, stderr
 
 
 def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
@@ -468,12 +498,14 @@ def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
     Counts on the first ``n_mc`` rows.  For each level t the lower
     estimate is C(t,t)/t and the upper estimate is the survival analogue
     (1-2s+C(s,s))/(1-s) at s = 1-t.  A linear extrapolation to t = 0 is
-    reported alongside the per-level values.
+    reported alongside the per-level values.  Both coordinates are at
+    most t exactly when their maximum is, and both exceed 1-t exactly
+    when their minimum does, so each level counts on one array per side.
     """
     grid = sorted(float(t) for t in alpha_grid)
     if not grid or grid[0] <= 0.0 or grid[-1] > 0.1:
         raise DomainError("alpha_grid must lie in (0, 0.1]")
-    n_mc = int(n_mc)
+    n_mc = sample_size(n_mc, "n_mc")
     if n_mc * grid[0] < RELIABILITY_FLOOR:
         raise ResolutionError(
             f"expected tail count {n_mc * grid[0]:.1f} below {RELIABILITY_FLOOR} "
@@ -481,10 +513,11 @@ def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
         )
     u = sample_prefix(sample, n_mc)
     ua, ub = u[:, pair[0]], u[:, pair[1]]
+    hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
     levels = []
     for t in grid:
-        p_low = np.count_nonzero((ua <= t) & (ub <= t)) / n_mc
-        p_up = np.count_nonzero((ua > 1.0 - t) & (ub > 1.0 - t)) / n_mc
+        p_low = np.count_nonzero(hi <= t) / n_mc
+        p_up = np.count_nonzero(lo > 1.0 - t) / n_mc
         levels.append(
             {
                 "t": t,

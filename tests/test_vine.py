@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from powerdep import bicop, vine
+from powerdep import bicop, errors, taildep, vine
 from powerdep.bicop import BivariateCopula
 from powerdep.errors import (
     DegenerateSeriesError,
@@ -17,6 +17,7 @@ from powerdep.errors import (
 from powerdep.vine import VineEdge, VineModel, VineStructure
 
 import copula_oracle
+import spearman_oracle
 
 
 def gaussian_sample(corr, n, seed):
@@ -528,6 +529,72 @@ class TestInducedMeasures:
         with pytest.raises(DomainError):
             vine.induced_spearman(u, n_mc=30_000)
 
+    @staticmethod
+    def spearman_case(case):
+        model = embedded_pair_model(BivariateCopula("clayton", 0, (1.5,)))
+        u = vine.simulate(model, 20_000, seed=14)
+        if case == "rounded":
+            # every column repeats values, so every block takes the fallback
+            u = np.round(u, 3)
+        elif case == "clipped":
+            u[::50, 0] = vine._STREAM_CLIP
+        n_mc = 10_010 if case == "n_mc_10010" else 20_000
+        return u, n_mc
+
+    @pytest.mark.parametrize("case", ["tie_free", "rounded", "clipped", "n_mc_10010"])
+    def test_spearman_equals_the_rankdata_oracle(self, case):
+        u, n_mc = self.spearman_case(case)
+        rho, se = vine.induced_spearman(u, n_mc)
+        expected_rho, expected_se = spearman_oracle.induced_spearman(u, n_mc)
+        assert np.array_equal(rho, expected_rho)
+        assert np.array_equal(se, expected_se)
+
+    def test_spearman_ranks_a_tie_free_sample_without_rankdata(self, monkeypatch):
+        u, n_mc = self.spearman_case("tie_free")
+        expected = spearman_oracle.induced_spearman(u, n_mc)
+        calls = []
+        rankdata = stats.rankdata
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rankdata(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "rankdata", counted)
+        rho, se = vine.induced_spearman(u, n_mc)
+        assert len(calls) == 0
+        assert np.array_equal(rho, expected[0]) and np.array_equal(se, expected[1])
+        # a tie in one column sends the prefix and the stacked batches back
+        u[1, 2] = u[0, 2]
+        vine.induced_spearman(u, n_mc)
+        assert len(calls) == 2
+
+    def test_tdc_counts_at_the_level_boundaries(self):
+        # coordinates exactly at t and at 1 - t, and rows with one coordinate
+        # inside a corner and one outside, on top of a uniform background
+        grid = (0.02, 0.05, 0.1)
+        rows = []
+        for t in grid:
+            s = 1.0 - t
+            t_in, t_out = np.nextafter(t, 0.0), np.nextafter(t, 1.0)
+            s_in = np.nextafter(s, 1.0)
+            rows += [
+                (t, t), (t, 0.5 * t), (0.5 * t, t), (t, t_out), (t_in, t_in),
+                (t, 0.5), (0.5, t),
+                (s, s), (s, 0.5 * (1.0 + s)), (s_in, s_in), (s_in, s),
+                (s, 0.5), (0.5, s_in),
+            ]
+        corners = np.tile(np.array(rows), (50, 1))
+        background = np.random.default_rng(9).random((2000, 2))
+        u = np.vstack([corners, background])
+        u = np.column_stack([u[:, 0], np.full(len(u), 0.5), u[:, 1]])
+        res = vine.induced_pair_tdc(u, (0, 2), grid, n_mc=len(u))
+        ua, ub = u[:, 0], u[:, 2]
+        for t, level in zip(grid, res["levels"]):
+            low = np.count_nonzero((ua <= t) & (ub <= t)) / len(u)
+            up = np.count_nonzero((ua > 1.0 - t) & (ub > 1.0 - t)) / len(u)
+            assert level["t"] == t
+            assert level["lower"] == low / t and level["upper"] == up / t
+
     def test_tdc_independence_identity(self):
         model = embedded_pair_model(BivariateCopula("independence"))
         res = vine.induced_pair_tdc(
@@ -574,6 +641,47 @@ class TestInducedMeasures:
         u = vine.simulate(model, 100_000, seed=0)
         with pytest.raises(DomainError):
             vine.induced_pair_tdc(u, (0, 1), alpha_grid=(0.2,), n_mc=100_000)
+
+
+def _uniform(d):
+    return np.random.default_rng(2).random((20_000, d))
+
+
+# every entry point that takes a Monte Carlo size, called with size n
+_SIZED = {
+    "vine.simulate": lambda n: vine.simulate(
+        embedded_pair_model(BivariateCopula("independence")), n, seed=1
+    ),
+    "bicop.sample": lambda n: bicop.sample(
+        BivariateCopula("gaussian", 0, (0.5,)), n, seed=1
+    ),
+    "induced_spearman": lambda n: vine.induced_spearman(_uniform(3), n),
+    "induced_pair_tdc": lambda n: vine.induced_pair_tdc(_uniform(3), (0, 1), (0.05,), n),
+    "scenario_tail_coefficient": lambda n: taildep.scenario_tail_coefficient(
+        _uniform(2), (taildep.ScenarioPattern(((1, "H"),), target=0),), n
+    ),
+}
+
+
+class TestMonteCarloSizes:
+    @pytest.mark.parametrize("bad", [0.5, 2.9, True, 10_000.0, "12000"], ids=repr)
+    @pytest.mark.parametrize("entry", list(_SIZED))
+    def test_non_integer_size_is_rejected(self, entry, bad):
+        with pytest.raises(DomainError, match="must be an integer"):
+            _SIZED[entry](bad)
+
+    @pytest.mark.parametrize("bad", [np.True_, np.float64(3.0), None], ids=repr)
+    def test_check_rejects_numpy_booleans_and_floats(self, bad):
+        with pytest.raises(DomainError, match="n_mc must be an integer"):
+            errors.sample_size(bad, "n_mc")
+
+    def test_check_returns_a_python_int(self):
+        for value in (np.int64(7), np.uint8(7), 7):
+            assert type(errors.sample_size(value, "n")) is int
+
+    @pytest.mark.parametrize("entry", list(_SIZED))
+    def test_numpy_integer_size_is_accepted(self, entry):
+        assert repr(_SIZED[entry](np.int64(12_000))) == repr(_SIZED[entry](12_000))
 
 
 class TestSerialization:
