@@ -4,10 +4,15 @@ These counters back the empirical Kendall function and the tail
 conditioning estimators.  Every count comes from one recursive kernel,
 Bentley's (1980) divide-and-conquer for strict counts: each level counts
 within segments of rows sorted by column 0 by a call on one column
-fewer, and one column is a rank.  It takes O(m log^d m) for d >= 2
-columns and is exact for any input, ties included, because every value
-is keyed by an integer rank, so neighbouring doubles stay distinct
-however close they are.
+fewer, and one column is a rank.  Two things keep its constant small.
+The callee of a level only needs counts within the level's segments,
+which are aligned blocks of its own order, so it stops its levels at the
+block size instead of counting whole earlier blocks for the caller to
+subtract.  And below 32 rows the levels give way to one direct
+comparison of every pair of rows within aligned 32-row blocks.  It takes
+O(m log^d m) for d >= 2 columns and is exact for any input, ties
+included, because every value is keyed by an integer rank, so
+neighbouring doubles stay distinct however close they are.
 
 Weak counts are strict counts on a labelled union: rank the reference
 and query rows together, key a reference value 2r and a query value
@@ -20,6 +25,10 @@ n reference and query rows together.
 from __future__ import annotations
 
 import numpy as np
+
+# rows per direct-comparison block at the bottom of the recursion; a power
+# of two, so blocks align with every level's segments
+_LEAF = 32
 
 
 def _as_points(points):
@@ -59,31 +68,47 @@ def _smaller_counts(values):
     return counts
 
 
-def _strict_counts(points):
+def _strict_counts(points, block=None):
     # Bentley's (1980) offline dominance count, one recursion for every
     # column count.  Rows are sorted by column 0, ties broken by column 1
     # descending, so no earlier row that ties a row in column 0 is below it
     # in column 1 (rows tied in both are below neither, in either order).
-    # At each level w a row in the right half of its size-2w segment gains
-    # the left-half rows strictly below it in the other columns,
-    # S_2w - S_w, where S_s counts those rows within the row's size-s
-    # segment by one count on d - 1 columns: offsetting every rank by
-    # segment * m puts the seg * s rows of earlier segments below all
-    # others and those of later segments above.  Keys stay below m^2 + m.
+    # A leaf compares every pair of rows within aligned blocks of _LEAF
+    # rows: ``partial`` seeds with the earlier rows strictly below in the
+    # other columns and ``inner`` with all rows of the block strictly
+    # below.  Then at each level w a row in the right half of its size-2w
+    # segment gains the left-half rows strictly below it, S_2w - S_w,
+    # where S_s counts those rows within the row's size-s segment by one
+    # count on d - 1 columns: offsetting every rank by segment * m makes
+    # each segment an aligned block of the callee's order, and ``block``
+    # tells the callee to count within blocks only, so it stops its own
+    # levels at the block size.  Keys stay below m^2 + m.
     m, d = points.shape
     if d == 1:
-        return _smaller_counts(points[:, 0])
+        counts = _smaller_counts(points[:, 0])
+        # a block's rows lie above every row of the full blocks before it
+        return counts if block is None else counts % block
     ranks = np.column_stack([_smaller_counts(points[:, c]) for c in range(d)])
     order = np.argsort(ranks[:, 0] * m + (m - 1 - ranks[:, 1]))
     rest = ranks[order, 1:]
+    leaf = min(_LEAF, m)
+    nb = -(-m // leaf)
+    # pad the trailing block with rows above every rank; they count nothing
+    tiles = np.full((nb * leaf, d - 1), m, dtype=np.int64)
+    tiles[:m] = rest
+    tiles = tiles.reshape(nb, leaf, d - 1)
+    below = np.ones((nb, leaf, leaf), dtype=bool)
+    for c in range(d - 1):
+        below &= tiles[:, None, :, c] < tiles[:, :, None, c]
+    inner = np.count_nonzero(below, axis=2).ravel()[:m]
+    below &= np.tri(leaf, k=-1, dtype=bool)
+    partial = np.count_nonzero(below, axis=2).ravel()[:m]
     pos = np.arange(m)
-    partial = np.zeros(m, dtype=np.int64)
-    inner = np.zeros(m, dtype=np.int64)
-    width = 1
-    while width < m:
+    width = leaf
+    while width < min(m, block or m):
         size = 2 * width
         seg = pos // size
-        outer = _strict_counts(rest + (seg * m)[:, None]) - seg * size
+        outer = _strict_counts(rest + (seg * m)[:, None], size)
         right = pos % size >= width
         partial[right] += outer[right] - inner[right]
         inner = outer
@@ -109,7 +134,11 @@ def strict_dominance_counts(points):
     Notes
     -----
     One recursive kernel serves every column count, in O(m log m) for one
-    column and O(m log^d m) for d >= 2, exact with column ties.
+    column and O(m log^d m) for d >= 2, exact with column ties.  Each
+    level's call on one column fewer counts within that level's blocks
+    only, so it runs only the levels below the block size, and rows are
+    compared directly within aligned blocks of 32, which replaces the
+    five lowest levels.
     """
     return _strict_counts(_as_points(points))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from powerdep import counting
+from powerdep import counting, taildep
 from counting_oracle import brute_counts
 
 
@@ -189,3 +189,85 @@ def test_cross_weak_counts_match_the_oracle(clouds):
     assert np.array_equal(
         counting.cross_weak_counts(ref, qry), brute_counts(ref, qry, False)
     )
+
+
+def _boundary_cloud(rng, m, d, variant):
+    pts = rng.random((m, d))
+    half = m // 2
+    if variant == "rounded":
+        pts = np.round(pts, 1)
+    elif variant == "duplicates":
+        pts[half:] = pts[: m - half]
+    elif variant == "neighbours":
+        pts[half:] = np.nextafter(pts[: m - half], 1.0)
+    return pts
+
+
+@pytest.mark.parametrize("variant", ["plain", "rounded", "duplicates", "neighbours"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("leaf", [1, 2, 32, 4096])
+def test_leaf_and_block_boundaries_match_the_oracle(monkeypatch, leaf, d, variant):
+    # sizes on both sides of the leaf and of the first block levels; a leaf
+    # of 4096 compares the whole sample directly
+    monkeypatch.setattr(counting, "_LEAF", leaf)
+    rng = np.random.default_rng(1000 * leaf + 10 * d + len(variant))
+    for m in (1, 2, 31, 32, 33, 63, 64, 65, 1025):
+        pts = _boundary_cloud(rng, m, d, variant)
+        assert np.array_equal(
+            counting.strict_dominance_counts(pts), brute_counts(pts, pts, True)
+        ), m
+        assert np.array_equal(
+            counting.weak_dominance_counts(pts), brute_counts(pts, pts, False)
+        ), m
+        # queries of another size, half of them copies of reference rows
+        qry = _boundary_cloud(rng, m + 7, d, variant)
+        qry[: m // 2] = pts[: m // 2]
+        assert np.array_equal(
+            counting.cross_weak_counts(pts, qry), brute_counts(pts, qry, False)
+        ), m
+
+
+def test_lower_levels_count_within_their_blocks_only(monkeypatch):
+    # every call of the one-column count is handed all m rows; the bounded
+    # recursion makes m * calls its whole work.  The three-column count
+    # ranks 3 columns, then at each width w = L, 2L, ..., m/2 above the
+    # leaf L its two-column callee ranks 2 columns and runs its own widths
+    # L, 2L, ..., w, log2(2w / L) one-column counts, since it counts within
+    # blocks of 2w rows.  Unbounded, every callee ran log2(m / L) levels.
+    m = 4096
+    leaf = counting._LEAF
+    assert leaf & (leaf - 1) == 0 and leaf < m
+    pts = np.random.default_rng(44).random((m, 3))
+    assert not counting.has_column_ties(pts)
+    handed = []
+    smaller = counting._smaller_counts
+
+    def spy(values):
+        handed.append(values.size)
+        return smaller(values)
+
+    monkeypatch.setattr(counting, "_smaller_counts", spy)
+    counts = counting.strict_dominance_counts(pts)
+    widths = [leaf * 2**k for k in range(int(np.log2(m // leaf)))]
+    calls = 3 + sum(2 + int(np.log2(2 * w // leaf)) for w in widths)
+    assert sum(handed) == m * calls
+    assert np.array_equal(counts, brute_counts(pts, pts, True))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_four_and_five_columns_at_size_match_the_oracle(d, rounded):
+    m = 3000
+    rng = np.random.default_rng(60 + d)
+    corr = np.full((d, d), 0.6) + 0.4 * np.eye(d)
+    z = rng.standard_normal((m, d)) @ np.linalg.cholesky(corr).T
+    u = (np.argsort(np.argsort(z, axis=0), axis=0) + 1) / (m + 1)
+    if rounded:
+        u = np.clip(np.round(u, 2), 0.01, 0.99)
+    assert counting.has_column_ties(u) == rounded
+    expected = brute_counts(u, u, True)
+    assert np.array_equal(counting.strict_dominance_counts(u), expected)
+    fn = taildep.empirical_kendall_fn(u)
+    # the inverse at the middle of each step returns every order statistic
+    steps = (np.arange(m) + 0.5) / m
+    assert np.array_equal(fn.inverse(steps), np.sort(expected / m))
