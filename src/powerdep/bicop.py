@@ -29,7 +29,6 @@ from .errors import (
     FamilyInfeasibleError,
     OptimizationError,
     SelectionError,
-    sample_size,
 )
 
 EPS = 1e-12
@@ -463,27 +462,6 @@ def hinv(copula, p, w, margin=2):
     return np.clip(_conditional(copula, _HINV, p, w, margin), EPS, 1.0 - EPS)
 
 
-def sample(copula, n, seed):
-    """Draw ``n`` pairs from the copula, deterministically in ``seed``.
-
-    Uses conditional inversion on the base family and reflects the
-    coordinates according to the rotation.
-
-    Returns
-    -------
-    ndarray, shape (n, 2)
-    """
-    n = sample_size(n, "n")
-    if n <= 0:
-        raise DomainError("sample size must be positive")
-    rng = np.random.default_rng(seed)
-    w = rng.random((n, 2))
-    u = np.clip(w[:, 0], EPS, 1.0 - EPS)
-    p = np.clip(w[:, 1], EPS, 1.0 - EPS)
-    v = _BASE[copula.family][_HINV](p, u, *copula.params)
-    return np.clip(np.column_stack(_reflect(u, v, copula.rotation)), EPS, 1.0 - EPS)
-
-
 # ---------------------------------------------------------------------------
 # fitting and selection
 # ---------------------------------------------------------------------------
@@ -554,34 +532,6 @@ def _required_sign(family, rotation):
     return 0
 
 
-def fit_mle(family, rotation, pseudo_obs):
-    """Fit one family/rotation to pseudo-observations by maximum likelihood.
-
-    Parameters
-    ----------
-    family : str
-    rotation : int
-    pseudo_obs : array_like, shape (n, 2)
-        Values strictly inside the unit square.
-
-    Returns
-    -------
-    FitResult
-
-    Raises
-    ------
-    FamilyInfeasibleError
-        If the empirical Kendall tau sign is outside the family's range
-        for the requested rotation.
-    OptimizationError
-        If the optimiser fails to converge; the error carries the last
-        iterate.
-    """
-    _check_candidate(family, rotation)
-    obs = _check_pseudo_obs(pseudo_obs)
-    return _fit_mle(family, rotation, obs, _kendall_tau(obs))
-
-
 def _check_candidate(family, rotation):
     if family not in FAMILIES:
         raise DomainError(f"unknown copula family {family!r}")
@@ -595,7 +545,13 @@ def _kendall_tau(obs):
 
 
 def _fit_mle(family, rotation, obs, tau_hat):
-    """``fit_mle`` on checked pseudo-observations whose Kendall tau is known."""
+    """Fit one family/rotation by maximum likelihood.
+
+    ``obs`` are checked pseudo-observations and ``tau_hat`` their Kendall
+    tau.  Raises ``FamilyInfeasibleError`` when the tau sign is outside
+    the family's range for the rotation, and ``OptimizationError``,
+    carrying the last iterate, when the optimiser does not converge.
+    """
     n = obs.shape[0]
     sign = _required_sign(family, rotation)
     if sign > 0 and tau_hat < 0:

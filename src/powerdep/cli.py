@@ -405,9 +405,8 @@ def _cmd_synth(args):
     records = generate_synthetic_records(
         args.days, args.seed, args.flavor, args.start, args.hours
     )
-    meta = _synth_meta(
-        args.days, args.seed, args.flavor, args.start, args.hours or tuple(range(24))
-    )
+    hours = sorted({rec.hour for rec in records})
+    meta = _synth_meta(args.days, args.seed, args.flavor, args.start, hours)
     return _publish(
         args,
         {

@@ -9,14 +9,13 @@ so stationarity and positivity hold at every iterate.
 
 One filter, ``_garch_filter``, turns (design, target, parameters) into
 the mean residuals, the variance path started at their sample variance,
-and the Gaussian negative log-likelihood.  The optimiser's objective,
-the fitted paths, ``ar_garch_loglik`` and ``filter_residuals`` all go
-through it, so a refiltered series reproduces the fit's own paths
-exactly.  The optimiser also gets the exact score: ``_garch_score``
-takes the filter's residuals and variance path and returns the gradient
-from one reverse pass of the variance recursion (Fiorentini, Calzolari
-& Panattoni 1996, J. Appl. Econometrics), in O(T k) instead of k + 1
-filter passes.
+and the Gaussian negative log-likelihood.  The optimiser's objective and
+the fitted paths both go through it, so the fit's residuals are the
+filter's at the optimum.  The optimiser also gets the exact score:
+``_garch_score`` takes the filter's residuals and variance path and
+returns the gradient from one reverse pass of the variance recursion
+(Fiorentini, Calzolari & Panattoni 1996, J. Appl. Econometrics), in
+O(T k) instead of k + 1 filter passes.
 """
 
 from __future__ import annotations
@@ -331,41 +330,6 @@ def fit_ar_garch(series, dummies, spec):
         diagnostics={"t_eff": t_eff, "message": str(res.message)},
     )
     return fit
-
-
-def ar_garch_loglik(series, dummies, spec, phi, psi, omega, alpha, beta):
-    """Gaussian log-likelihood of the AR-GARCH model at given parameters.
-
-    Uses the same effective sample and variance initialisation as
-    ``fit_ar_garch``, so values are directly comparable with
-    ``MarginalFit.loglik``.  Parameters whose variance path is not
-    positive and finite give ``-inf``.
-    """
-    _, _, nll = _refilter(series, dummies, spec, phi, psi, omega, alpha, beta)
-    return -float(nll)
-
-
-def _refilter(series, dummies, spec, phi, psi, omega, alpha, beta):
-    """Build the design of a raw series, then run ``_garch_filter`` on it."""
-    y = np.asarray(series, dtype=np.float64)
-    if y.size <= spec.max_lag:
-        raise DomainError("series shorter than the maximum lag")
-    dmat = _dummy_matrix(dummies, spec.n_dummies, y.size)
-    design, target = _design(y, dmat, spec.lag_set)
-    mean = np.concatenate([np.asarray(phi, float), np.asarray(psi, float)])
-    return _garch_filter(design, target, mean, omega, alpha, beta)
-
-
-def filter_residuals(fit, series, dummies=None):
-    """Standardized residuals of ``series`` under an already-fitted model.
-
-    Applying this to the fit's own training data reproduces
-    ``fit.residuals`` exactly.
-    """
-    eps, sigma2, _ = _refilter(
-        series, dummies, fit.spec, fit.phi, fit.psi, fit.omega, fit.alpha, fit.beta
-    )
-    return eps / np.sqrt(sigma2)
 
 
 def pit_transform(residuals, mode="gaussian"):

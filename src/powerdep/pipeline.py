@@ -229,6 +229,8 @@ class AnalysisConfig:
                 raise ConfigError(f"{name} must be non-empty and lie in (0, 0.1]")
         if any(b >= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ConfigError("alpha_grid must be strictly decreasing")
+        if len(set(self.tdc_grid)) != len(self.tdc_grid):
+            raise ConfigError("tdc_grid levels must be distinct")
         # a pattern needs a letter for every conditioning variable of every
         # configured hour: demand, wind and solar at a quadrivariate hour
         n_cond = 3 if any(h in SOLAR_HOURS for h in hours) else 2
@@ -820,10 +822,12 @@ def write_artifacts(out_dir, payloads, force=False):
 
     Refuses to overwrite an existing file unless ``force`` is set, and
     checks every target before writing the first, so a refusal leaves no
-    new file behind.  Each payload goes to a hidden ``.<name>.tmp`` file
-    first, and only once all of them are written are they renamed into
-    place, so an error while writing leaves neither a partial bundle nor
-    a temporary file.  Returns the mapping of file names to paths.
+    new file behind.  Each payload goes to a hidden ``.<name>.<pid>.tmp``
+    file first, and only once all of them are written are they renamed
+    into place, so an error while writing leaves neither a partial bundle
+    nor a temporary file.  The process id keeps a temporary file that a
+    killed writer left behind from blocking later writes.  Returns the
+    mapping of file names to paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in sorted(payloads)}
@@ -836,8 +840,8 @@ def write_artifacts(out_dir, payloads, force=False):
     temps = {}
     try:
         for name in paths:
-            temp = os.path.join(out_dir, f".{name}.tmp")
-            with open(temp, "x", newline="") as handle:
+            temp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "w", newline="") as handle:
                 temps[name] = temp
                 handle.write(payloads[name])
         for name, temp in temps.items():

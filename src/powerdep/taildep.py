@@ -6,22 +6,18 @@ W = F_X(X) of a conditioning vector X.  Its distribution function K
 event {W <= t}, which lets a single number summarise how the tail of a
 target variable Y reacts to joint extremes of several drivers:
 
-* ``empirical_kendall_fn`` returns K of a sample as a
-  ``KendallFunction``, the step CDF of the collapse values below.  The
-  tail measures build the same object from their one count of the
+* ``KendallFunction`` is K of a sample, the step CDF of the collapse
+  values below.  The tail measures build it from their one count of the
   sample and read their thresholds off its ``inverse``.
-* ``q_lower_kendall`` / ``q_upper_kendall`` estimate the conditional
-  tail probabilities of Y given that X falls in a lower/upper Kendall
-  region of mass alpha.
-* ``lambda_kendall`` traces those measures along a grid of shrinking
-  alphas and extrapolates to the limit coefficient, both sides at once.
+* ``lambda_kendall`` estimates the conditional tail probabilities of Y
+  given that X falls in a lower/upper Kendall region of mass alpha,
+  along a grid of shrinking alphas, and extrapolates to the limit
+  coefficient, both sides at once.
 * ``scenario_tail_coefficient`` evaluates an hour's mixed high/low
   scenarios (e.g. high demand with low wind) as the upper measure on
   reflected coordinates of a vine-simulated sample.  Every scenario's
   strict count follows by inclusion-exclusion from one lower-orthant
   count per column subset, shared by all of the hour's patterns.
-* ``tail_concentration`` is the classical bivariate diagnostic curve
-  used to compare copula families at a fixed conditioning level.
 
 Everything here is estimated by counting on finite samples; no
 parametric form is assumed for the copula that links W and Y.  The
@@ -66,10 +62,9 @@ class KendallFunction:
     """Empirical distribution function K(t) of the multivariate PIT W = F_X(X).
 
     A right-continuous step CDF over the sorted collapse values
-    W_i = strict_counts[i] / m, built by :func:`empirical_kendall_fn`
-    and by the tail measures from one count of a sample.  ``evaluate``
-    is the CDF and ``inverse`` the generalized inverse, the smallest t
-    with K(t) >= q.
+    W_i = strict_counts[i] / m, built by the tail measures from one
+    count of a sample.  ``evaluate`` is the CDF and ``inverse`` the
+    generalized inverse, the smallest t with K(t) >= q.
     """
 
     def __init__(self, strict_counts, dim):
@@ -101,39 +96,6 @@ def _unit_interval(value, what):
     return arr
 
 
-def empirical_kendall_fn(sample):
-    """Empirical Kendall function of a multivariate sample.
-
-    Parameters
-    ----------
-    sample : array_like, shape (m, l)
-        Pseudo-observations in the open unit hypercube, m >= 200 rows
-        and l >= 2 columns.
-
-    Returns
-    -------
-    KendallFunction
-        Right-continuous step CDF of the collapse values
-        W_i = #{j : sample_j < sample_i componentwise} / m.
-    """
-    arr = np.asarray(sample, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DomainError("sample must be a 2-d array")
-    m, ell = arr.shape
-    if ell < 2:
-        raise DomainError(
-            "Kendall function needs at least two columns; "
-            "a single variable already has a univariate CDF"
-        )
-    if m < 200:
-        raise DomainError(f"need at least 200 rows to estimate K, got {m}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sample must be finite")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("sample values must lie strictly inside (0, 1)")
-    return KendallFunction(strict_dominance_counts(arr), ell)
-
-
 def multivariate_pit(rows, reference):
     """Empirical joint CDF of ``reference`` evaluated at ``rows``.
 
@@ -159,11 +121,10 @@ def multivariate_pit(rows, reference):
 
 @dataclass(frozen=True)
 class TailMeasureResult:
-    """One estimated conditional tail measure.
+    """One estimated upper conditional tail measure, as a scenario reports it.
 
-    ``ratio_vs_independence`` divides the value by its independence
-    benchmark (beta on both sides, see the module notes on the upper
-    measure), so 1 means "the Kendall scenario does nothing".
+    ``ratio_vs_independence`` divides the value by beta, its value under
+    independence, so 1 means "the Kendall scenario does nothing".
     """
 
     side: str
@@ -209,16 +170,6 @@ def _split_sample(sample):
     return arr[:, :-1], arr[:, -1]
 
 
-def _check_levels(alpha, beta, m):
-    if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
-        raise DomainError("alpha and beta must lie in (0, 0.5)")
-    if alpha * m < RELIABILITY_FLOOR:
-        raise ResolutionError(
-            f"alpha*m = {alpha * m:.1f} leaves fewer than "
-            f"{RELIABILITY_FLOOR} expected tail observations"
-        )
-
-
 class _Collapsed:
     """Shared counting state for one (X columns, Y column) sample.
 
@@ -252,20 +203,13 @@ class _Collapsed:
         return value, stderr, n_cond
 
 
-def _tail_measure(collapsed, alpha, beta, side):
-    value, stderr, n_cond = collapsed.one_sided(alpha, beta, side)
-    metadata = {}
-    if side == "upper":
-        # The literal definition gives beta under independence; the
-        # published remark normalises by 1 - beta instead.  Both are
-        # reported so downstream consumers can pick their convention.
-        metadata["remark_ratio"] = value / (1.0 - beta)
-        metadata["remark_note"] = (
-            "ratio_vs_independence divides by beta (independence value of "
-            "the literal definition); remark_ratio divides by 1 - beta"
-        )
+def _upper_measure(collapsed, alpha, beta):
+    value, stderr, n_cond = collapsed.one_sided(alpha, beta, "upper")
+    # The literal definition gives beta under independence; the published
+    # remark normalises by 1 - beta instead.  Both are reported so
+    # downstream consumers can pick their convention.
     return TailMeasureResult(
-        side=side,
+        side="upper",
         value=value,
         ratio_vs_independence=value / beta,
         alpha=float(alpha),
@@ -273,36 +217,14 @@ def _tail_measure(collapsed, alpha, beta, side):
         mc_stderr=stderr,
         n_conditioning=n_cond,
         reliable=n_cond >= RELIABILITY_FLOOR,
-        metadata=metadata,
+        metadata={
+            "remark_ratio": value / (1.0 - beta),
+            "remark_note": (
+                "ratio_vs_independence divides by beta (independence value of "
+                "the literal definition); remark_ratio divides by 1 - beta"
+            ),
+        },
     )
-
-
-def q_lower_kendall(sample, alpha, beta):
-    """P(Y <= F_Y^-1(beta) | F_X(X) <= t_alpha), counted on a sample.
-
-    ``sample`` holds the conditioning columns first and the target Y as
-    the last column.  ``t_alpha`` is the generalized inverse of the
-    empirical Kendall function at ``alpha``, so the conditioning event
-    captures the jointly-low region of X with probability about alpha.
-    """
-    x, y = _split_sample(sample)
-    _check_levels(alpha, beta, x.shape[0])
-    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
-    return _tail_measure(collapsed, alpha, beta, "lower")
-
-
-def q_upper_kendall(sample, alpha, beta):
-    """P(Y >= F_Y^-1(1-beta) | F_X(X) >= t_{1-alpha}), counted on a sample.
-
-    Mirror image of :func:`q_lower_kendall` for jointly-high
-    conditioning regions.  Note the independence benchmark of the
-    literal definition is beta, not 1 - beta; see the module docstring
-    and the ``remark_ratio`` metadata entry.
-    """
-    x, y = _split_sample(sample)
-    _check_levels(alpha, beta, x.shape[0])
-    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
-    return _tail_measure(collapsed, alpha, beta, "upper")
 
 
 @dataclass(frozen=True)
@@ -495,7 +417,11 @@ def scenario_tail_coefficient(sample, patterns, n_mc):
     if not np.all(np.isfinite(u[:, used])):
         raise DomainError("sample must be finite")
     for pattern in patterns:
-        _check_levels(pattern.alpha, pattern.beta, n_mc)
+        if pattern.alpha * n_mc < RELIABILITY_FLOOR:
+            raise ResolutionError(
+                f"alpha*m = {pattern.alpha * n_mc:.1f} leaves fewer than "
+                f"{RELIABILITY_FLOOR} expected tail observations"
+            )
 
     low = sorted({v for p in patterns for v, dr in p.conditioning if dr == "L"})
     direct = has_column_ties(u[:, conditioning]) or has_column_ties(1.0 - u[:, low])
@@ -516,7 +442,7 @@ def scenario_tail_coefficient(sample, patterns, n_mc):
                 else _orthant_counts(u, pattern.conditioning, lower_counts)
             )
         collapsed = _Collapsed(x, y, strict_counts[pattern.conditioning])
-        result = _tail_measure(collapsed, pattern.alpha, pattern.beta, "upper")
+        result = _upper_measure(collapsed, pattern.alpha, pattern.beta)
         metadata = dict(result.metadata)
         metadata.update(
             {
@@ -546,52 +472,3 @@ def _orthant_counts(u, conditioning, lower_counts):
     if not high:
         counts -= 1
     return counts
-
-
-def tail_concentration(pseudo_pairs, alpha, beta_grid):
-    """Lower/upper tail concentration curves of a bivariate sample.
-
-    For each beta in ``beta_grid`` the lower curve is the share of
-    {u <= alpha} rows that also have v <= beta, and the upper curve the
-    share of {u > 1 - alpha} rows with v > 1 - beta.  Under independence
-    both are about beta; under comonotonicity both hit 1 for beta >=
-    alpha.  Rows with an empty conditioning column give NaN.
-    """
-    arr = np.asarray(pseudo_pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("pseudo_pairs must be an (m, 2) array")
-    if arr.shape[0] == 0:
-        raise DomainError("pseudo_pairs must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("pseudo_pairs must be finite")
-    if not (0.0 < alpha < 0.5):
-        raise DomainError("alpha must lie in (0, 0.5)")
-    betas = np.asarray(beta_grid, dtype=np.float64)
-    if betas.ndim != 1 or betas.size == 0:
-        raise DomainError("beta_grid must be a non-empty 1-d array")
-    if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-        raise DomainError("beta_grid values must lie in (0, 1)")
-
-    u, v = arr[:, 0], arr[:, 1]
-    low_mask = u <= alpha
-    high_mask = u > 1.0 - alpha
-    n_low = int(np.count_nonzero(low_mask))
-    n_high = int(np.count_nonzero(high_mask))
-    lower = np.full(betas.shape, np.nan)
-    upper = np.full(betas.shape, np.nan)
-    if n_low:
-        v_low = v[low_mask]
-        lower = np.array([np.count_nonzero(v_low <= b) / n_low for b in betas])
-    if n_high:
-        v_high = v[high_mask]
-        upper = np.array(
-            [np.count_nonzero(v_high > 1.0 - b) / n_high for b in betas]
-        )
-    return {
-        "alpha": float(alpha),
-        "beta_grid": betas,
-        "lower": lower,
-        "upper": upper,
-        "n_lower": n_low,
-        "n_upper": n_high,
-    }

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .bicop import DEFAULT_CANDIDATES, BivariateCopula, hfunc, hinv, select_family_aic
+from .bicop import DEFAULT_CANDIDATES, EPS, BivariateCopula, hfunc, hinv, select_family_aic
 from .errors import (
     DegenerateSeriesError,
     DomainError,
@@ -35,8 +35,6 @@ from .errors import (
     sample_size,
 )
 from .taildep import RELIABILITY_FLOOR, sample_prefix
-
-_STREAM_CLIP = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -243,7 +241,7 @@ def _check_columns(u):
 
 
 def _clip_stream(values):
-    return np.clip(values, _STREAM_CLIP, 1.0 - _STREAM_CLIP)
+    return np.clip(values, EPS, 1.0 - EPS)
 
 
 class _Streams:
@@ -424,7 +422,8 @@ def _simulate_from_uniforms(model, w):
             cond = frozenset(edge.conditioning)
             f_other = stream(y if x == var else x, cond)
             margin = 2 if x == var else 1
-            t = _clip_stream(hinv(model.pair_copulas[edge], t, f_other, margin=margin))
+            # hinv already returns values in [EPS, 1 - EPS]
+            t = hinv(model.pair_copulas[edge], t, f_other, margin=margin)
             stream.memo[(var, cond)] = t
         sampled = sampled | {var}
     return np.column_stack([stream.memo[(v, frozenset())] for v in range(n)])
@@ -505,6 +504,8 @@ def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
     grid = sorted(float(t) for t in alpha_grid)
     if not grid or grid[0] <= 0.0 or grid[-1] > 0.1:
         raise DomainError("alpha_grid must lie in (0, 0.1]")
+    if len(set(grid)) != len(grid):
+        raise DomainError("alpha_grid levels must be distinct")
     n_mc = sample_size(n_mc, "n_mc")
     if n_mc * grid[0] < RELIABILITY_FLOOR:
         raise ResolutionError(

@@ -9,14 +9,19 @@ population quantities:
 - ``cdf(copula, u, v)``, ``pdf`` and ``log_pdf``, honouring the rotation;
 - ``tau_of``, ``spearman_of``, ``lower_tdc`` and ``upper_tdc``;
 - ``vine_loglik(model, pseudo_obs)``, which re-evaluates a fitted vine on
-  data through the library's own h-function streams.
+  data through the library's own h-function streams;
+- ``sample(copula, n, seed)``, which draws pairs by conditional inversion
+  through the library's base h-inverses and reflection rule, the data of
+  the copula, fit and tail tests.
 """
 
 import numpy as np
 from scipy import integrate, special, stats
 
 from powerdep.bicop import (
+    EPS,
     _BASE,
+    _HINV,
     _LOGPDF,
     _clayton_logs,
     _clip_unit,
@@ -27,7 +32,7 @@ from powerdep.bicop import (
     _reflect,
     _t_hfunc_base,
 )
-from powerdep.errors import DomainError
+from powerdep.errors import DomainError, sample_size
 from powerdep.vine import _check_columns, _Streams
 
 
@@ -230,3 +235,24 @@ def vine_loglik(model, pseudo_obs):
     for edge in model.structure.all_edges():
         total += float(np.sum(log_pdf(model.pair_copulas[edge], *stream.pair(edge))))
     return total
+
+
+def sample(copula, n, seed):
+    """Draw ``n`` pairs from the copula, deterministically in ``seed``.
+
+    Uses conditional inversion on the base family and reflects the
+    coordinates according to the rotation.
+
+    Returns
+    -------
+    ndarray, shape (n, 2)
+    """
+    n = sample_size(n, "n")
+    if n <= 0:
+        raise DomainError("sample size must be positive")
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, 2))
+    u = np.clip(w[:, 0], EPS, 1.0 - EPS)
+    p = np.clip(w[:, 1], EPS, 1.0 - EPS)
+    v = _BASE[copula.family][_HINV](p, u, *copula.params)
+    return np.clip(np.column_stack(_reflect(u, v, copula.rotation)), EPS, 1.0 - EPS)

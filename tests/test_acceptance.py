@@ -9,9 +9,9 @@ import math
 import time
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from powerdep import bicop, cli, pipeline, taildep, vine
+from powerdep import bicop, cli, counting, pipeline, taildep, vine
 from powerdep.bicop import BivariateCopula, select_family_aic
 from powerdep.data_ingest import slice_hour
 from powerdep.marginals import (
@@ -78,7 +78,7 @@ def test_clayton_family_selection_rate():
     clayton = BivariateCopula("clayton", 0, (2.0,))
     hits = 0
     for seed in range(200):
-        sample = bicop.sample(clayton, 1000, seed=seed)
+        sample = copula_oracle.sample(clayton, 1000, seed=seed)
         selected = select_family_aic(sample, bicop.DEFAULT_CANDIDATES)
         hits += selected.best.copula.family == "clayton"
     report(
@@ -88,19 +88,22 @@ def test_clayton_family_selection_rate():
     )
 
 
+def kendall_fn(sample):
+    # the Kendall function the tail measures read their thresholds from
+    return taildep.KendallFunction(counting.strict_dominance_counts(sample), sample.shape[1])
+
+
 def test_kendall_function_empirical_vs_analytic():
     started = time.time()
     grid = np.linspace(0.01, 0.99, 99)
     clayton = BivariateCopula("clayton", 0, (2.0,))
-    emp_clayton = taildep.empirical_kendall_fn(bicop.sample(clayton, 100_000, seed=5))
+    emp_clayton = kendall_fn(copula_oracle.sample(clayton, 100_000, seed=5))
     ana_clayton = analytic_kendall_fn("clayton", theta=2.0)
     sup_clayton = float(
         np.max(np.abs(emp_clayton.evaluate(grid) - ana_clayton.evaluate(grid)))
     )
     rng = np.random.default_rng(6)
-    emp_indep = taildep.empirical_kendall_fn(
-        rng.random((100_000, 2)) * 0.999998 + 1e-6
-    )
+    emp_indep = kendall_fn(rng.random((100_000, 2)) * 0.999998 + 1e-6)
     ana_indep = analytic_kendall_fn("independence", dim=2)
     sup_indep = float(
         np.max(np.abs(emp_indep.evaluate(grid) - ana_indep.evaluate(grid)))
@@ -119,8 +122,8 @@ def test_independence_identity_coverage():
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
         sample = rng.random((100_000, 2)) * 0.999998 + 1e-6
-        result = taildep.q_lower_kendall(sample, 0.05, 0.05)
-        covered += abs(result.value - 0.05) < 3.0 * result.mc_stderr
+        result = taildep.lambda_kendall(sample, (0.05,))["lower"]
+        covered += abs(result.values[0] - 0.05) < 3.0 * result.stderrs[0]
     report(
         "independence identity",
         covered >= 95,
@@ -154,16 +157,16 @@ def test_conditional_count_exactness():
             sample = np.clip(sample, 0.001, 0.999)
         if case % 4 == 0:
             sample[: m // 3] = sample[m // 3 : 2 * (m // 3)]  # duplicated rows
-        alpha = float(rng.uniform(0.05, 0.45))
-        beta = float(rng.uniform(0.05, 0.45))
-        result = taildep.q_lower_kendall(sample, alpha, beta)
-        expected_value, expected_n = brute_lower_count(sample, alpha, beta)
-        if result.value != expected_value or result.n_conditioning != expected_n:
+        # lambda_kendall's lower side at alpha = beta, every level of its grid
+        grid = (0.1, float(rng.uniform(0.05, 0.1)))
+        result = taildep.lambda_kendall(sample, grid)["lower"]
+        counted = list(zip(result.values, result.n_conditioning))
+        if counted != [brute_lower_count(sample, a, a) for a in grid]:
             mismatches.append(case)
     report(
         "exact counting equality",
         not mismatches,
-        f"q_lower_kendall == brute force on 20/20 randomized cases"
+        f"lambda_kendall lower == brute force on 20/20 randomized cases"
         if not mismatches
         else f"mismatch in cases {mismatches}",
     )
@@ -184,43 +187,6 @@ def test_vine_induced_spearman_round_trip():
         "vine round trip",
         worst < 0.04,
         f"max |induced - analytic| spearman {worst:.4f} (<0.04)",
-    )
-
-
-def test_tail_concentration_curve_ordering():
-    def spearman_half_theta(family):
-        return float(
-            optimize.brentq(
-                lambda th: copula_oracle.spearman_of(BivariateCopula(family, 0, (th,))) - 0.5,
-                1.001 if family == "gumbel" else 0.05,
-                12.0,
-                xtol=1e-10,
-            )
-        )
-
-    copulas = {
-        "gaussian": BivariateCopula("gaussian", 0, (2.0 * math.sin(math.pi / 12.0),)),
-        "gumbel": BivariateCopula("gumbel", 0, (spearman_half_theta("gumbel"),)),
-        "clayton": BivariateCopula("clayton", 0, (spearman_half_theta("clayton"),)),
-    }
-    betas = np.array([0.005, 0.01, 0.02])
-    curves = {
-        name: taildep.tail_concentration(bicop.sample(cop, 1_000_000, seed=88), 0.05, betas)
-        for name, cop in copulas.items()
-    }
-    clayton_leads_lower = bool(
-        np.all(curves["clayton"]["lower"] > curves["gaussian"]["lower"])
-        and np.all(curves["clayton"]["lower"] > curves["gumbel"]["lower"])
-    )
-    gumbel_leads_upper = bool(
-        np.all(curves["gumbel"]["upper"] > curves["gaussian"]["upper"])
-        and np.all(curves["gumbel"]["upper"] > curves["clayton"]["upper"])
-    )
-    report(
-        "tail concentration ordering",
-        clayton_leads_lower and gumbel_leads_upper,
-        "clayton dominates q_L and gumbel dominates q_U near 0 "
-        f"(beta grid {betas.tolist()}, spearman 0.5, 1e6 pairs)",
     )
 
 

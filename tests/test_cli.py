@@ -93,14 +93,22 @@ class TestSynth:
         assert all(row["solar"] == "" for row in rows if row["hour"] == "3")
         assert all(row["solar"] != "" for row in rows if row["hour"] == "12")
 
-    def test_metadata_sidecar(self, data_csv):
+    def test_metadata_sidecar(self, data_csv, tmp_path, capsys):
         meta = json.load(open(os.path.join(os.path.dirname(data_csv), "synthetic_meta.json")))
         assert meta["flavor"] == "gaussian"
         assert meta["days"] == 420
         assert meta["seed"] == 11
+        assert meta["hours"] == [3, 12]
         assert set(meta["marginals"]) == {"price", "demand", "wind", "solar"}
         assert meta["marginals"]["price"]["lag_set"] == [1, 2, 7]
         assert meta["vine"]["quadrivariate"]["n_vars"] == 4
+        # the hours as generated, sorted and distinct, not as typed
+        code, _, _ = invoke(
+            ["synth", "--days", "60", "--hours", "5,3,3", "--out", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert {row["hour"] for row in read_csv_rows(tmp_path / "synthetic.csv")} == {"3", "5"}
+        assert json.load(open(tmp_path / "synthetic_meta.json"))["hours"] == [3, 5]
 
     def test_too_few_days_fails_cleanly(self, tmp_path, capsys):
         code, out, err = invoke(
@@ -465,18 +473,17 @@ class TestCliContract:
     def test_unwritable_artifact_is_a_config_error_at_the_out_dir(
         self, tmp_path, capsys
     ):
-        # a temporary file left by an interrupted run blocks the write
-        stale = tmp_path / ".synthetic.csv.tmp"
-        stale.write_text("partial")
+        # a directory in an artifact's place cannot be replaced, even with --force
+        (tmp_path / "synthetic.csv").mkdir()
         code, out, err = invoke(
-            ["synth", "--days", "70", "--hours", "5", "--out", str(tmp_path)],
+            ["synth", "--days", "70", "--hours", "5", "--out", str(tmp_path), "--force"],
             capsys,
         )
         assert code == 1
         assert err["code"] == "config"
         assert err["location"] == str(tmp_path)
-        assert os.listdir(tmp_path) == [".synthetic.csv.tmp"]
-        assert stale.read_text() == "partial"
+        assert os.listdir(tmp_path) == ["synthetic.csv"]
+        assert not any((tmp_path / "synthetic.csv").iterdir())
 
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from_env"

@@ -267,7 +267,7 @@ def test_four_and_five_columns_at_size_match_the_oracle(d, rounded):
     assert counting.has_column_ties(u) == rounded
     expected = brute_counts(u, u, True)
     assert np.array_equal(counting.strict_dominance_counts(u), expected)
-    fn = taildep.empirical_kendall_fn(u)
+    fn = taildep.KendallFunction(counting.strict_dominance_counts(u), d)
     # the inverse at the middle of each step returns every order statistic
     steps = (np.arange(m) + 0.5) / m
     assert np.array_equal(fn.inverse(steps), np.sort(expected / m))

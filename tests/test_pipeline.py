@@ -142,6 +142,7 @@ class TestAnalysisConfig:
             {"candidates": (("gaussian", True),)},
             {"candidates": (("gumbell", 0),)},
             {"indep_test": "loose"},
+            {"tdc_grid": (0.05, 0.05)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -598,6 +599,14 @@ class TestReportBundle:
             pipeline.write_report_bundle(tmp_path, small_config(), global_result)
         assert len(opened) == 2
         assert os.listdir(tmp_path) == []
+
+    def test_stale_temporary_file_does_not_block_a_write(self, tmp_path):
+        # a writer killed mid-write leaves its temporary file behind
+        (tmp_path / ".series.csv.tmp").write_text("")
+        paths = pipeline.write_artifacts(tmp_path, {"series.csv": "a,b\n"}, force=True)
+        assert (tmp_path / "series.csv").read_text() == "a,b\n"
+        assert paths == {"series.csv": os.path.join(tmp_path, "series.csv")}
+        assert sorted(os.listdir(tmp_path)) == [".series.csv.tmp", "series.csv"]
 
     def test_rewrite_with_force_is_byte_identical(self, bundle, global_result):
         out, paths, rolls = bundle

@@ -7,22 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from powerdep import bicop, taildep, vine
+from powerdep import taildep, vine
 from powerdep.bicop import BivariateCopula
 from powerdep.counting import has_column_ties, strict_dominance_counts
 from powerdep.errors import DomainError, ResolutionError
 from powerdep.taildep import (
+    KendallFunction,
     ScenarioPattern,
-    empirical_kendall_fn,
     lambda_kendall,
     multivariate_pit,
-    q_lower_kendall,
-    q_upper_kendall,
     scenario_tail_coefficient,
-    tail_concentration,
 )
 from powerdep.vine import VineEdge, VineModel, VineStructure
 
+import copula_oracle
 from counting_oracle import brute_counts
 from kendall_oracle import analytic_kendall_fn
 
@@ -72,6 +70,30 @@ def brute_q(sample, alpha, beta, side):
         hit = uy > 1.0 - beta
     n_cond = int(cond.sum())
     return float((cond & hit).sum()) / n_cond, n_cond
+
+
+def kendall_fn(sample):
+    # the Kendall function the tail measures read their thresholds from
+    u = np.asarray(sample, dtype=np.float64)
+    return KendallFunction(strict_dominance_counts(u), u.shape[1])
+
+
+def level(sample, alpha, side):
+    # lambda_kendall's value, stderr and conditioning count at alpha = beta
+    res = lambda_kendall(sample, (alpha,))[side]
+    return res.values[0], res.stderrs[0], res.n_conditioning[0]
+
+
+def upper_measure(sample, alpha, beta):
+    # the scenario path's upper measure of the last column given all the
+    # others, none reflected
+    u = np.asarray(sample, dtype=np.float64)
+    n_cond = u.shape[1] - 1
+    pattern = ScenarioPattern(
+        tuple((v, "H") for v in range(n_cond)), target=n_cond, alpha=alpha, beta=beta
+    )
+    (result,) = scenario_tail_coefficient(u, (pattern,), n_mc=u.shape[0])
+    return result
 
 
 def manual_model(trees, copulas):
@@ -164,26 +186,26 @@ class TestAnalyticKendall:
 class TestEmpiricalKendall:
     def test_comonotone_matches_diagonal(self):
         m = 400
-        fn = empirical_kendall_fn(comonotone_sample(m))
+        fn = kendall_fn(comonotone_sample(m))
         vals = fn.evaluate(GRID_99)
         assert np.all(vals >= GRID_99)
         assert np.all(vals <= GRID_99 + 1.0 / m + 1e-12)
 
     def test_independence_oracle(self):
-        fn = empirical_kendall_fn(uniform_sample(30_000, 2, seed=7))
+        fn = kendall_fn(uniform_sample(30_000, 2, seed=7))
         oracle = analytic_kendall_fn("independence")
         assert np.max(np.abs(fn.evaluate(GRID_99) - oracle.evaluate(GRID_99))) < 0.02
         assert_allclose(fn.evaluate(0.5), 0.8465735902799727, atol=0.02)
 
     def test_clayton_oracle(self):
-        sample = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 30_000, 11)
-        fn = empirical_kendall_fn(sample)
+        sample = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), 30_000, 11)
+        fn = kendall_fn(sample)
         oracle = analytic_kendall_fn("clayton", 2.0)
         assert np.max(np.abs(fn.evaluate(GRID_99) - oracle.evaluate(GRID_99))) < 0.02
         assert_allclose(fn.evaluate(0.5), 0.6875, atol=0.02)
 
     def test_three_dim_independence(self):
-        fn = empirical_kendall_fn(uniform_sample(8000, 3, seed=3))
+        fn = kendall_fn(uniform_sample(8000, 3, seed=3))
         oracle = analytic_kendall_fn("independence", dim=3)
         assert abs(fn.evaluate(0.5) - oracle.evaluate(0.5)) < 0.02
 
@@ -192,26 +214,26 @@ class TestEmpiricalKendall:
         if kind == "uniform":
             sample = uniform_sample(300, 2, seed)
         elif kind == "clayton":
-            sample = bicop.sample(BivariateCopula("clayton", 0, (1.5,)), 300, seed)
+            sample = copula_oracle.sample(BivariateCopula("clayton", 0, (1.5,)), 300, seed)
         else:
             base = uniform_sample(150, 2, seed)
             sample = np.vstack([base, base])  # every row duplicated
-        fn = empirical_kendall_fn(sample)
+        fn = kendall_fn(sample)
         assert np.all(fn.evaluate(GRID_99) >= GRID_99)
 
     def test_right_continuous_step(self):
         sample = uniform_sample(500, 2, seed=2)
-        fn = empirical_kendall_fn(sample)
+        fn = kendall_fn(sample)
         w = np.sort(strict_dominance_counts(sample) / 500)
         t0 = w[200]
         assert fn.evaluate(t0) > fn.evaluate(t0 - 1e-9)
 
     def test_inverse_is_generalized(self):
-        fn = empirical_kendall_fn(comonotone_sample(500))
+        fn = kendall_fn(comonotone_sample(500))
         # smallest t with K(t) >= 0.05 is the 25th order statistic 24/500
         assert fn.inverse(0.05) == 24 / 500
         sample = uniform_sample(500, 2, seed=9)
-        fn2 = empirical_kendall_fn(sample)
+        fn2 = kendall_fn(sample)
         support = np.sort(strict_dominance_counts(sample) / 500)
         for q in (0.1, 0.33, 0.9):
             t = fn2.inverse(q)
@@ -219,30 +241,13 @@ class TestEmpiricalKendall:
             assert fn2.evaluate(t) >= q
 
     def test_metadata_fields(self):
-        fn = empirical_kendall_fn(uniform_sample(250, 3, seed=1))
+        fn = kendall_fn(uniform_sample(250, 3, seed=1))
         assert fn.n_obs == 250
         assert fn.dim == 3
         assert "empirical" in repr(fn)
 
-    def test_rejects_single_column(self):
-        with pytest.raises(DomainError, match="univariate"):
-            empirical_kendall_fn(uniform_sample(300, 1, seed=0))
-
-    def test_rejects_small_or_bad_samples(self):
-        with pytest.raises(DomainError):
-            empirical_kendall_fn(uniform_sample(199, 2, seed=0))
-        bad = uniform_sample(300, 2, seed=0)
-        bad[5, 1] = 1.0
-        with pytest.raises(DomainError):
-            empirical_kendall_fn(bad)
-        bad[5, 1] = np.nan
-        with pytest.raises(DomainError):
-            empirical_kendall_fn(bad)
-        with pytest.raises(DomainError):
-            empirical_kendall_fn(np.zeros(300))
-
     def test_evaluate_rejects_outside_unit_interval(self):
-        fn = empirical_kendall_fn(uniform_sample(300, 2, seed=0))
+        fn = kendall_fn(uniform_sample(300, 2, seed=0))
         with pytest.raises(DomainError):
             fn.evaluate(1.5)
         with pytest.raises(DomainError):
@@ -287,84 +292,84 @@ class TestMultivariatePit:
 class TestTailMeasures:
     def test_lower_independence_identity(self):
         sample = uniform_sample(40_000, 3, seed=3)
-        res = q_lower_kendall(sample, 0.05, 0.05)
-        assert abs(res.value - 0.05) < 3 * res.mc_stderr
-        assert abs(res.ratio_vs_independence - 1.0) < 3 * res.mc_stderr / 0.05
+        res = lambda_kendall(sample, (0.05,))["lower"]
+        assert abs(res.values[0] - 0.05) < 3 * res.stderrs[0]
         assert res.side == "lower"
-        assert res.reliable
+        assert res.reliable == (True,)
 
     def test_upper_independence_identity(self):
         sample = uniform_sample(40_000, 3, seed=3)
-        res = q_upper_kendall(sample, 0.05, 0.05)
+        res = upper_measure(sample, 0.05, 0.05)
         assert abs(res.value - 0.05) < 3 * res.mc_stderr
         assert res.metadata["remark_ratio"] == res.value / 0.95
         assert res.side == "upper"
 
-    @pytest.mark.parametrize("side,fn", [("lower", q_lower_kendall), ("upper", q_upper_kendall)])
-    def test_independence_coverage(self, side, fn):
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_independence_coverage(self, side):
         hits = 0
         for rep in range(50):
             rng = np.random.default_rng(1000 + rep if side == "lower" else 3000 + rep)
             sample = rng.random((5000, 3))
-            res = fn(sample, 0.05, 0.05)
-            if abs(res.value - 0.05) < 3 * res.mc_stderr:
+            value, stderr, _ = level(sample, 0.05, side)
+            if abs(value - 0.05) < 3 * stderr:
                 hits += 1
         assert hits >= 46
 
     def test_comonotone_lower_is_one(self):
         sample = comonotone_sample(5000, d=3, shuffle_seed=8)
-        assert q_lower_kendall(sample, 0.05, 0.05).value == 1.0
+        assert level(sample, 0.05, "lower")[0] == 1.0
 
     def test_countermonotone_upper_is_zero(self):
         u = comonotone_sample(5000, d=2, shuffle_seed=8)
         sample = np.column_stack([u, 1.0 - u[:, 0]])
-        assert q_upper_kendall(sample, 0.05, 0.05).value == 0.0
+        assert level(sample, 0.05, "upper")[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(500, 1500))
+        # the scenario path counts at least 1000 rows
+        m = int(rng.integers(1000, 2000))
         x_cols = int(rng.integers(1, 4))
         kind = seed % 3
         if kind == 0:
             arr = rng.random((m, x_cols + 1))
         elif kind == 1:
-            pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), m, seed + 50)
+            pair = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), m, seed + 50)
             extra = rng.random((m, x_cols - 1)) if x_cols > 1 else np.empty((m, 0))
             arr = np.column_stack([pair[:, 0], extra, pair[:, 1]])
         else:
             arr = np.round(rng.random((m, x_cols + 1)), 2) * 0.98 + 0.01
         alpha = float(rng.uniform(0.05, 0.45))
         beta = float(rng.uniform(0.05, 0.45))
-        for side, fn in (("lower", q_lower_kendall), ("upper", q_upper_kendall)):
-            res = fn(arr, alpha, beta)
-            value, n_cond = brute_q(arr, alpha, beta, side)
-            assert res.value == value
-            assert res.n_conditioning == n_cond
+        # lambda_kendall: both sides, alpha = beta, at every level of its grid
+        grid = (0.1, float(rng.uniform(0.05, 0.1)))
+        res = lambda_kendall(arr, grid)
+        for side in ("lower", "upper"):
+            for a, value, n_cond in zip(grid, res[side].values, res[side].n_conditioning):
+                assert (value, n_cond) == brute_q(arr, a, a, side)
+        # the scenario path: the upper side, alpha != beta
+        up = upper_measure(arr, alpha, beta)
+        value, n_cond = brute_q(arr, alpha, beta, "upper")
+        assert up.value == value
+        assert up.n_conditioning == n_cond
 
     def test_clayton_example_against_brute(self):
-        pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 2000, 13)
+        pair = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), 2000, 13)
         sample = np.column_stack([pair[:, 0], pair[:, 1], pair[:, 0]])
-        res = q_lower_kendall(sample, 0.05, 0.05)
-        value, n_cond = brute_q(sample, 0.05, 0.05, "lower")
-        assert res.value == value
-        assert res.n_conditioning == n_cond
-        assert res.value > 0.3  # strong lower dependence carried by Y = X1
+        value, _, n_cond = level(sample, 0.05, "lower")
+        assert (value, n_cond) == brute_q(sample, 0.05, 0.05, "lower")
+        assert value > 0.3  # strong lower dependence carried by Y = X1
 
     def test_gumbel_max_example_against_brute(self):
-        pair = bicop.sample(BivariateCopula("gumbel", 0, (2.0,)), 2000, 14)
+        pair = copula_oracle.sample(BivariateCopula("gumbel", 0, (2.0,)), 2000, 14)
         sample = np.column_stack([pair, pair.max(axis=1)])
-        res = q_upper_kendall(sample, 0.05, 0.05)
-        value, n_cond = brute_q(sample, 0.05, 0.05, "upper")
-        assert res.value == value
-        assert res.n_conditioning == n_cond
-        assert res.value > 0.5
+        value, _, n_cond = level(sample, 0.05, "upper")
+        assert (value, n_cond) == brute_q(sample, 0.05, 0.05, "upper")
+        assert value > 0.5
 
     def test_ratio_definitions(self):
         sample = uniform_sample(2000, 2, seed=21)
-        low = q_lower_kendall(sample, 0.1, 0.2)
-        assert low.ratio_vs_independence == low.value / 0.2
-        up = q_upper_kendall(sample, 0.1, 0.2)
+        up = upper_measure(sample, 0.1, 0.2)
         assert up.ratio_vs_independence == up.value / 0.2
         assert up.metadata["remark_ratio"] == up.value / 0.8
 
@@ -372,27 +377,27 @@ class TestTailMeasures:
         sample = uniform_sample(2000, 2, seed=0)
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(DomainError):
-                q_lower_kendall(sample, bad, 0.05)
+                upper_measure(sample, bad, 0.05)
             with pytest.raises(DomainError):
-                q_upper_kendall(sample, 0.05, bad)
+                upper_measure(sample, 0.05, bad)
 
     def test_thin_tail_rejected(self):
-        sample = uniform_sample(300, 2, seed=0)
+        sample = uniform_sample(1000, 2, seed=0)
         with pytest.raises(ResolutionError):
-            q_lower_kendall(sample, 0.05, 0.05)  # 15 expected points
+            upper_measure(sample, 0.015, 0.05)  # 15 expected points
 
     def test_sample_validation(self):
         with pytest.raises(DomainError):
-            q_lower_kendall(np.random.default_rng(0).random((100, 1)), 0.3, 0.3)
+            lambda_kendall(np.random.default_rng(0).random((100, 1)))
         bad = uniform_sample(200, 3, seed=0)
         bad[0, 0] = np.nan
         with pytest.raises(DomainError):
-            q_upper_kendall(bad, 0.3, 0.3)
+            lambda_kendall(bad)
 
     def test_json_dict(self):
-        res = q_lower_kendall(uniform_sample(2000, 2, seed=1), 0.1, 0.1)
+        res = upper_measure(uniform_sample(2000, 2, seed=1), 0.1, 0.1)
         data = res.to_json_dict()
-        assert data["side"] == "lower"
+        assert data["side"] == "upper"
         assert data["value"] == res.value
         assert data["alpha"] == 0.1
         assert data["n_conditioning"] == res.n_conditioning
@@ -417,12 +422,12 @@ class TestLambdaKendall:
         assert res.smallest_reliable_alpha == 0.01
 
     def test_clayton_collapsed_pair(self):
-        pair = bicop.sample(BivariateCopula("clayton", 0, (2.0,)), 1_000_000, 5)
+        pair = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), 1_000_000, 5)
         res = lambda_kendall(pair)["lower"]
         assert abs(res.extrapolated - 2 ** -0.5) < 0.05
 
     def test_gumbel_collapsed_pair_upper(self):
-        pair = bicop.sample(BivariateCopula("gumbel", 0, (2.0,)), 1_000_000, 8)
+        pair = copula_oracle.sample(BivariateCopula("gumbel", 0, (2.0,)), 1_000_000, 8)
         res = lambda_kendall(pair)["upper"]
         assert abs(res.extrapolated - (2.0 - 2 ** 0.5)) < 0.05
 
@@ -433,9 +438,9 @@ class TestLambdaKendall:
             sample = np.round(sample, 3)
         assert has_column_ties(sample[:, :-1]) == ties
         res = lambda_kendall(sample)
-        for side, q in (("lower", q_lower_kendall), ("upper", q_upper_kendall)):
-            expected = tuple(q(sample, a, a).value for a in res[side].alphas)
-            assert res[side].values == expected
+        alphas = res["lower"].alphas
+        assert res["lower"].values == tuple(brute_q(sample, a, a, "lower")[0] for a in alphas)
+        assert res["upper"].values == tuple(upper_measure(sample, a, a).value for a in alphas)
 
     def test_partial_reliability(self):
         sample = uniform_sample(1600, 2, seed=2)
@@ -611,7 +616,7 @@ def reflected(u, pattern):
 
 def reference_json(u, pattern):
     # today's definition: the upper measure on the explicitly reflected sample
-    ref = q_upper_kendall(reflected(u, pattern), pattern.alpha, pattern.beta)
+    ref = upper_measure(reflected(u, pattern), pattern.alpha, pattern.beta)
     out = ref.to_json_dict()
     out["metadata"].update(
         {
@@ -727,62 +732,3 @@ class TestScenarioOrthants:
         with pytest.raises(DomainError):
             scenario_tail_coefficient(u, good, n_mc=999)
         assert calls == []
-
-
-class TestTailConcentration:
-    def test_independence_tracks_beta(self):
-        pairs = uniform_sample(100_000, 2, seed=12)
-        curve = tail_concentration(pairs, 0.05, np.array([0.02, 0.05, 0.1, 0.3]))
-        assert_allclose(curve["lower"], [0.02, 0.05, 0.1, 0.3], atol=0.015)
-        assert_allclose(curve["upper"], [0.02, 0.05, 0.1, 0.3], atol=0.015)
-
-    def test_comonotone_saturates(self):
-        pairs = comonotone_sample(4000)
-        curve = tail_concentration(pairs, 0.05, np.array([0.05, 0.1, 0.5]))
-        assert np.all(curve["lower"] == 1.0)
-        assert np.all(curve["upper"] == 1.0)
-
-    def test_comonotone_below_alpha(self):
-        pairs = comonotone_sample(4000)
-        curve = tail_concentration(pairs, 0.05, np.array([0.02]))
-        assert curve["lower"][0] == 0.4  # beta/alpha on the diagonal
-
-    def test_family_ordering_near_zero(self):
-        # tau matched to 1/3 across families, as in the published figure
-        beta = np.array([0.01, 0.02])
-        curves = {}
-        for name, cop in (
-            ("gaussian", BivariateCopula("gaussian", 0, (0.5,))),
-            ("gumbel", BivariateCopula("gumbel", 0, (1.5,))),
-            ("clayton", BivariateCopula("clayton", 0, (1.0,))),
-        ):
-            curves[name] = tail_concentration(bicop.sample(cop, 300_000, 77), 0.05, beta)
-        for j in range(beta.size):
-            assert curves["clayton"]["lower"][j] > curves["gaussian"]["lower"][j]
-            assert curves["gaussian"]["lower"][j] > curves["gumbel"]["lower"][j]
-            assert curves["gumbel"]["upper"][j] > curves["gaussian"]["upper"][j]
-            assert curves["gaussian"]["upper"][j] > curves["clayton"]["upper"][j]
-
-    def test_result_shape(self):
-        pairs = uniform_sample(5000, 2, seed=1)
-        grid = np.array([0.1, 0.2])
-        curve = tail_concentration(pairs, 0.1, grid)
-        assert curve["alpha"] == 0.1
-        assert np.array_equal(curve["beta_grid"], grid)
-        assert curve["n_lower"] > 0 and curve["n_upper"] > 0
-        assert curve["lower"].shape == grid.shape
-
-    def test_validation(self):
-        pairs = uniform_sample(1000, 2, seed=1)
-        with pytest.raises(DomainError):
-            tail_concentration(pairs, 0.6, np.array([0.1]))
-        with pytest.raises(DomainError):
-            tail_concentration(pairs, 0.05, np.array([]))
-        with pytest.raises(DomainError):
-            tail_concentration(pairs, 0.05, np.array([0.0]))
-        with pytest.raises(DomainError):
-            tail_concentration(uniform_sample(1000, 3, seed=1), 0.05, np.array([0.1]))
-        bad = pairs.copy()
-        bad[0, 0] = np.inf
-        with pytest.raises(DomainError):
-            tail_concentration(bad, 0.05, np.array([0.1]))

@@ -537,7 +537,7 @@ class TestInducedMeasures:
             # every column repeats values, so every block takes the fallback
             u = np.round(u, 3)
         elif case == "clipped":
-            u[::50, 0] = vine._STREAM_CLIP
+            u[::50, 0] = bicop.EPS
         n_mc = 10_010 if case == "n_mc_10010" else 20_000
         return u, n_mc
 
@@ -641,6 +641,9 @@ class TestInducedMeasures:
         u = vine.simulate(model, 100_000, seed=0)
         with pytest.raises(DomainError):
             vine.induced_pair_tdc(u, (0, 1), alpha_grid=(0.2,), n_mc=100_000)
+        # a repeated level would put two equal abscissae under the line fit
+        with pytest.raises(DomainError, match="distinct"):
+            vine.induced_pair_tdc(u, (0, 1), alpha_grid=(0.05, 0.05), n_mc=100_000)
 
 
 def _uniform(d):
@@ -651,9 +654,6 @@ def _uniform(d):
 _SIZED = {
     "vine.simulate": lambda n: vine.simulate(
         embedded_pair_model(BivariateCopula("independence")), n, seed=1
-    ),
-    "bicop.sample": lambda n: bicop.sample(
-        BivariateCopula("gaussian", 0, (0.5,)), n, seed=1
     ),
     "induced_spearman": lambda n: vine.induced_spearman(_uniform(3), n),
     "induced_pair_tdc": lambda n: vine.induced_pair_tdc(_uniform(3), (0, 1), (0.05,), n),
