@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from powerdep import bicop, cli, counting, pipeline, taildep, vine
 from powerdep.bicop import BivariateCopula, select_family_aic
@@ -187,6 +187,42 @@ def test_vine_induced_spearman_round_trip():
         "vine round trip",
         worst < 0.04,
         f"max |induced - analytic| spearman {worst:.4f} (<0.04)",
+    )
+
+
+def test_lambda_kendall_curve_ordering():
+    def spearman_half_theta(family):
+        return float(
+            optimize.brentq(
+                lambda th: copula_oracle.spearman_of(BivariateCopula(family, 0, (th,))) - 0.5,
+                1.001 if family == "gumbel" else 0.05,
+                12.0,
+                xtol=1e-10,
+            )
+        )
+
+    copulas = {
+        "gaussian": BivariateCopula("gaussian", 0, (2.0 * math.sin(math.pi / 12.0),)),
+        "gumbel": BivariateCopula("gumbel", 0, (spearman_half_theta("gumbel"),)),
+        "clayton": BivariateCopula("clayton", 0, (spearman_half_theta("clayton"),)),
+    }
+    curves = {
+        name: taildep.lambda_kendall(copula_oracle.sample(cop, 1_000_000, seed=88))
+        for name, cop in copulas.items()
+    }
+    lower = {name: np.array(c["lower"].values) for name, c in curves.items()}
+    upper = {name: np.array(c["upper"].values) for name, c in curves.items()}
+    clayton_leads_lower = bool(
+        np.all(lower["clayton"] > lower["gaussian"]) and np.all(lower["clayton"] > lower["gumbel"])
+    )
+    gumbel_leads_upper = bool(
+        np.all(upper["gumbel"] > upper["gaussian"]) and np.all(upper["gumbel"] > upper["clayton"])
+    )
+    report(
+        "lambda_K curve ordering",
+        clayton_leads_lower and gumbel_leads_upper,
+        "clayton dominates lambda_K lower and gumbel lambda_K upper at every level "
+        f"(alpha grid {list(curves['gaussian']['lower'].alphas)}, spearman 0.5, 1e6 pairs)",
     )
 
 

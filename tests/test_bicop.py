@@ -245,6 +245,17 @@ def test_reflection_rule_matches_per_rotation_branches(family, rotation, margin)
     )
 
 
+def test_sample_deterministic_and_in_unit_square():
+    # the test sampler draws the same data for the same seed
+    cop = make("gumbel", 0, (2.0,))
+    a = copula_oracle.sample(cop, 1000, seed=5)
+    b = copula_oracle.sample(cop, 1000, seed=5)
+    c = copula_oracle.sample(cop, 1000, seed=6)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.all((a > 0.0) & (a < 1.0))
+
+
 @pytest.mark.parametrize("family", ORACLE_PARAMS)
 @pytest.mark.parametrize("rotation", bicop.ROTATIONS)
 def test_sample_reflects_the_rotation_zero_sample(family, rotation):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from garch_fd_oracle import fd_fit_negloglik
-from garch_loglik_oracle import ar_garch_loglik
+from garch_loglik_oracle import _refilter, ar_garch_loglik
 from powerdep import cli, pipeline
 from powerdep.data_ingest import build_dummies, slice_hour
 from powerdep.errors import DegenerateSeriesError, DomainError
@@ -104,6 +104,14 @@ class TestFit:
         )
         assert_allclose(ll, fit.loglik, rtol=1e-12)
 
+    @pytest.mark.parametrize("length", [0, 5, 7])
+    def test_loglik_rejects_series_not_longer_than_max_lag(self, length):
+        # the filter needs at least one row after the max_lag lagged rows
+        spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=0)
+        y = make_series((0.3, 0.1, 0.05, 0.85), 400, seed=2, spec=spec)[:length]
+        with pytest.raises(DomainError, match="shorter than the maximum lag"):
+            ar_garch_loglik(y, None, spec, [0.3, 0.1, 0.05], [], 0.1, 0.05, 0.85)
+
     def test_residual_length_and_pseudo_obs_range(self):
         spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=0)
         y = make_series((0.3, 0.1, 0.05, 0.85), 1200, seed=2, spec=spec)
@@ -113,7 +121,31 @@ class TestFit:
         assert np.all(fit.pseudo_obs > 0) and np.all(fit.pseudo_obs < 1)
 
 
+def ar1_series():
+    return make_series(TRUE_PARAMS, 2000, seed=11), None, SPEC1
+
+
+def ar127_series_with_dummies():
+    T = 1500
+    dmat = np.zeros((T, 14))
+    dmat[:, 3] = (np.arange(T) % 23 < 4).astype(float)
+    spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=14)
+    true = build_fit_from_params(
+        spec, [0.4, 0.2, 0.1], np.linspace(-1, 1, 14), 0.1, 0.1, 0.8
+    )
+    return simulate_ar_garch(true, dmat, T, seed=5), dmat, spec
+
+
 class TestFilter:
+    @pytest.mark.parametrize("make", [ar1_series, ar127_series_with_dummies])
+    def test_refilter_training_data_reproduces_residuals(self, make):
+        # the loglik oracle's design and filter, at the fitted parameters,
+        # give back the fit's own standardized residuals
+        y, dmat, spec = make()
+        fit = fit_ar_garch(y, dmat, spec)
+        eps, sigma2, _ = _refilter(y, dmat, spec, fit.phi, fit.psi, fit.omega, fit.alpha, fit.beta)
+        assert np.array_equal(eps / np.sqrt(sigma2), fit.residuals)
+
     def test_residual_moments(self):
         y = make_series(TRUE_PARAMS, 5000, seed=13)
         fit = fit_ar_garch(y, None, SPEC1)

@@ -12,6 +12,7 @@ from powerdep.bicop import BivariateCopula
 from powerdep.counting import has_column_ties, strict_dominance_counts
 from powerdep.errors import DomainError, ResolutionError
 from powerdep.taildep import (
+    DEFAULT_ALPHA_GRID,
     KendallFunction,
     ScenarioPattern,
     lambda_kendall,
@@ -421,6 +422,31 @@ class TestLambdaKendall:
         assert res.point_estimate == 1.0
         assert res.smallest_reliable_alpha == 0.01
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_independence_tracks_alpha(self, side, d):
+        res = lambda_kendall(uniform_sample(100_000, d, seed=12))[side]
+        for a, v, se in zip(res.alphas, res.values, res.stderrs):
+            assert abs(v - a) < 4 * se
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_family_ordering_near_zero(self, side):
+        # tau matched to 1/3 across families, as in the published figure:
+        # clayton leads the lower tail and gumbel the upper, at every level
+        values = {
+            name: lambda_kendall(copula_oracle.sample(cop, 300_000, 77))[side].values
+            for name, cop in (
+                ("gaussian", BivariateCopula("gaussian", 0, (0.5,))),
+                ("gumbel", BivariateCopula("gumbel", 0, (1.5,))),
+                ("clayton", BivariateCopula("clayton", 0, (1.0,))),
+            )
+        }
+        order = ("clayton", "gaussian", "gumbel")
+        if side == "upper":
+            order = order[::-1]
+        for j in range(len(DEFAULT_ALPHA_GRID)):
+            assert values[order[0]][j] > values[order[1]][j] > values[order[2]][j]
+
     def test_clayton_collapsed_pair(self):
         pair = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), 1_000_000, 5)
         res = lambda_kendall(pair)["lower"]
@@ -463,6 +489,19 @@ class TestLambdaKendall:
             lambda_kendall(sample, (0.01, 0.05))
         with pytest.raises(DomainError):
             lambda_kendall(sample, (0.2, 0.1))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full(300, 0.5),
+            np.array([[0.2, 0.3]]),
+            np.where(np.eye(300, 2) > 0, np.inf, 0.5),
+        ],
+        ids=["one-dimensional", "one-row", "infinite"],
+    )
+    def test_sample_validation(self, bad):
+        with pytest.raises(DomainError, match="sample"):
+            lambda_kendall(bad)
 
     def test_json_dict(self):
         res = lambda_kendall(uniform_sample(4000, 2, seed=3), (0.1, 0.05))["upper"]

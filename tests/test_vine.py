@@ -650,10 +650,14 @@ def _uniform(d):
     return np.random.default_rng(2).random((20_000, d))
 
 
-# every entry point that takes a Monte Carlo size, called with size n
+# every entry point that takes a Monte Carlo size, and the tests' copula
+# sampler, called with size n
 _SIZED = {
     "vine.simulate": lambda n: vine.simulate(
         embedded_pair_model(BivariateCopula("independence")), n, seed=1
+    ),
+    "copula_oracle.sample": lambda n: copula_oracle.sample(
+        BivariateCopula("gaussian", 0, (0.5,)), n, seed=1
     ),
     "induced_spearman": lambda n: vine.induced_spearman(_uniform(3), n),
     "induced_pair_tdc": lambda n: vine.induced_pair_tdc(_uniform(3), (0, 1), (0.05,), n),
