@@ -23,9 +23,7 @@ problems, a bad flag value among them, exit with status 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import os
 import sys
@@ -197,7 +195,7 @@ def generate_synthetic_records(
     for hour in hours:
         names = VARIABLES if hour in SOLAR_HOURS else VARIABLES[:3]
         u = _coupled_uniforms(flavor, len(names), days, seed, hour)
-        shocks = special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        shocks = special.ndtri(u)
         columns = {}
         for j, name in enumerate(names):
             fit = _synth_marginal_fit(name)
@@ -225,22 +223,20 @@ def generate_synthetic_records(
 
 def records_to_csv_text(records):
     """Render records in the ingest CSV format with round-trip floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("date", "hour", "price", "demand", "wind", "solar"))
-    for rec in records:
-        solar = repr(rec.solar) if rec.hour in SOLAR_HOURS else ""
-        writer.writerow(
-            (
-                rec.date.isoformat(),
-                rec.hour,
-                repr(rec.price),
-                repr(rec.demand),
-                repr(rec.wind),
-                solar,
-            )
-        )
-    return buf.getvalue()
+    return pipeline.render_csv(
+        (
+            {
+                "date": rec.date.isoformat(),
+                "hour": rec.hour,
+                "price": rec.price,
+                "demand": rec.demand,
+                "wind": rec.wind,
+                "solar": rec.solar if rec.hour in SOLAR_HOURS else None,
+            }
+            for rec in records
+        ),
+        columns=("date", "hour") + VARIABLES,
+    )
 
 
 def _synth_vine_meta(flavor):
@@ -418,7 +414,7 @@ def _cmd_synth(args):
 
 def _cmd_ingest(args):
     records, log = _load_records(args)
-    hours = args.hours or tuple(sorted({rec.hour for rec in records}))
+    hours = sorted(set(args.hours or (rec.hour for rec in records)))
     artifacts = {
         f"panel_{hour:02d}": (
             f"panel_{hour:02d}.json",
@@ -510,12 +506,9 @@ def _cmd_simulate(args):
             "model file does not hold a vine model", location=args.model
         ) from None
     u = vine.simulate(model, args.n, seed=args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"u{j}" for j in range(u.shape[1])])
-    for row in u:
-        writer.writerow([repr(float(x)) for x in row])
-    return _publish(args, {"simulated": ("simulated_u.csv", buf.getvalue())})
+    columns = [f"u{j}" for j in range(u.shape[1])]
+    text = pipeline.render_csv((dict(zip(columns, row)) for row in u), columns)
+    return _publish(args, {"simulated": ("simulated_u.csv", text)})
 
 
 # ---------------------------------------------------------------------------

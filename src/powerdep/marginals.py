@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize, special, stats
 from scipy.signal import lfilter
 
+from .bicop import EPS
 from .errors import (
     DegenerateSeriesError,
     DomainError,
@@ -34,8 +35,6 @@ from .errors import (
 
 #: hard stationarity margin: alpha + beta <= 1 - _STATIONARITY_GAP
 _STATIONARITY_GAP = 1e-6
-
-_PIT_CLIP = 1e-12
 
 #: floor of the initial variance sigma2[0] = var(eps)
 _VAR_FLOOR = 1e-300
@@ -345,7 +344,7 @@ def pit_transform(residuals, mode="gaussian"):
         u = stats.rankdata(eta, method="average") / (eta.size + 1.0)
     else:
         raise DomainError(f"unknown PIT mode {mode!r}")
-    return np.clip(u, _PIT_CLIP, 1.0 - _PIT_CLIP)
+    return np.clip(u, EPS, 1.0 - EPS)
 
 
 def simulate_ar_garch(fit, dummies, horizon, seed, shocks=None):

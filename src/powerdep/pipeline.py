@@ -11,6 +11,10 @@ AR-GARCH fits, pseudo-observations, vine copula, dependence measures):
   window and tracks the induced pairwise Spearman correlations over
   time next to the full-sample reference value.
 
+Only this module reads scenario tokens such as ``LHH:L`` (letters for
+demand, wind and solar, then price's direction if low): ``AnalysisConfig``
+checks them, and :func:`analyze_hour` passes ``taildep`` ``("LHH", "L")``.
+
 Results serialize through :func:`write_report_bundle` into one JSON per
 hour, a long-format CSV of every series, and a run-metadata JSON.  All
 randomness flows from the config seed through one child seed per hour
@@ -48,7 +52,6 @@ from .bicop import DEFAULT_CANDIDATES, FAMILIES, ROTATIONS
 from .data_ingest import SOLAR_HOURS, build_dummies, HourlyPanel
 from .errors import ConfigError, DomainError, PowerdepError
 from .marginals import MarginalSpec, fit_ar_garch
-from .taildep import ScenarioPattern
 
 # purpose codes of the rolling study's child seeds; fixed forever for
 # reproducibility (codes 1-4 are retired and never reused)
@@ -393,37 +396,15 @@ def fit_hour(panel, config):
 
 
 def _scenario_patterns_for(config, names):
-    """Instantiate config patterns against this hour's variable set.
+    """The config's scenarios as ``(letters, target)`` pairs for this hour.
 
     Patterns are written for the quadrivariate conditioning order
     (demand, wind, solar); trivariate hours drop the solar letter and
     de-duplicate while preserving order.
     """
     n_cond = len(names) - 1
-    out = []
-    seen = set()
-    for token in config.scenarios:
-        body, _, target = token.partition(":")
-        target = target or "H"
-        if len(body) < n_cond:
-            raise ConfigError(
-                f"pattern {token!r} is shorter than the {n_cond} conditioning variables"
-            )
-        trimmed = body[:n_cond]
-        key = (trimmed, target)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(
-            ScenarioPattern(
-                conditioning=tuple((k + 1, trimmed[k]) for k in range(n_cond)),
-                target=0,
-                target_direction=target,
-                alpha=config.alpha,
-                beta=config.beta,
-            )
-        )
-    return out
+    tokens = (token.partition(":") for token in config.scenarios)
+    return list(dict.fromkeys((body[:n_cond], t or "H") for body, _, t in tokens))
 
 
 def analyze_hour(panel, config):
@@ -468,15 +449,11 @@ def analyze_hour(panel, config):
 
     patterns = _scenario_patterns_for(config, names)
     results = taildep.scenario_tail_coefficient(
-        sample, patterns, n_mc=config.n_mc_scenario
+        sample, patterns, config.alpha, config.beta, config.n_mc_scenario
     )
     scenario_table = [
-        {
-            "pattern": pattern.label,
-            "target_direction": pattern.target_direction,
-            "result": result,
-        }
-        for pattern, result in zip(patterns, results)
+        {"pattern": letters, "target_direction": target, "result": result}
+        for (letters, target), result in zip(patterns, results)
     ]
 
     return HourlyAnalysisResult(
@@ -680,12 +657,12 @@ def run_rolling(panels, config):
 
 
 def _fmt(value):
-    if value is None or value == "":
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
@@ -804,12 +781,13 @@ def series_rows(hour_results, rolling_results):
     return rows
 
 
-def render_csv(rows):
+def render_csv(rows, columns=_CSV_COLUMNS):
+    """CSV text of dict ``rows``: a missing key or None is an empty cell,
+    floats are written by ``repr`` and booleans as ``true``/``false``."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({key: _fmt(row.get(key, "")) for key in _CSV_COLUMNS})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(key)) for key in columns] for row in rows)
     return buf.getvalue()
 
 

@@ -15,7 +15,8 @@ target variable Y reacts to joint extremes of several drivers:
   coefficient, both sides at once.
 * ``scenario_tail_coefficient`` evaluates an hour's mixed high/low
   scenarios (e.g. high demand with low wind) as the upper measure on
-  reflected coordinates of a vine-simulated sample.  Every scenario's
+  reflected coordinates of a vine-simulated sample, each scenario a
+  ``(letters, target)`` pair such as ``("HL", "H")``.  Every scenario's
   strict count follows by inclusion-exclusion from one lower-orthant
   count per column subset, shared by all of the hour's patterns.
 
@@ -37,7 +38,7 @@ counting conventions are spelled out below because tests rely on exact
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -203,7 +204,7 @@ class _Collapsed:
         return value, stderr, n_cond
 
 
-def _upper_measure(collapsed, alpha, beta):
+def _upper_measure(collapsed, alpha, beta, metadata):
     value, stderr, n_cond = collapsed.one_sided(alpha, beta, "upper")
     # The literal definition gives beta under independence; the published
     # remark normalises by 1 - beta instead.  Both are reported so
@@ -223,6 +224,7 @@ def _upper_measure(collapsed, alpha, beta):
                 "ratio_vs_independence divides by beta (independence value of "
                 "the literal definition); remark_ratio divides by 1 - beta"
             ),
+            **metadata,
         },
     )
 
@@ -325,58 +327,13 @@ def _lambda_side(collapsed, alphas, side):
     )
 
 
-_DIRECTIONS = {"h": "H", "high": "H", "l": "L", "low": "L"}
-
-
-def _normalize_direction(raw):
-    key = str(raw).lower()
-    if key not in _DIRECTIONS:
-        raise DomainError(f"direction must be High or Low, got {raw!r}")
-    return _DIRECTIONS[key]
-
-
-@dataclass(frozen=True)
-class ScenarioPattern:
-    """Mixed high/low tail scenario for one target variable.
-
-    ``conditioning`` maps variable indices to directions, e.g.
-    ``((1, "H"), (2, "L"), (3, "L"))`` reads "variable 1 high while 2
-    and 3 are low" and prints as the label ``HLL``.
-    """
-
-    conditioning: tuple
-    target: int
-    target_direction: str = "H"
-    alpha: float = 0.05
-    beta: float = 0.05
-
-    def __post_init__(self):
-        pairs = tuple((int(v), _normalize_direction(d)) for v, d in self.conditioning)
-        if not pairs:
-            raise DomainError("a scenario needs at least one conditioning variable")
-        seen = [v for v, _ in pairs]
-        if len(set(seen)) != len(seen):
-            raise DomainError("conditioning variables must be distinct")
-        target = int(self.target)
-        if target in seen:
-            raise DomainError("target cannot appear among the conditioning variables")
-        if not (0.0 < self.alpha < 0.5) or not (0.0 < self.beta < 0.5):
-            raise DomainError("alpha and beta must lie in (0, 0.5)")
-        object.__setattr__(self, "conditioning", pairs)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(
-            self, "target_direction", _normalize_direction(self.target_direction)
-        )
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-
-    @property
-    def label(self):
-        return "".join(d for _, d in self.conditioning)
-
-
-def scenario_tail_coefficient(sample, patterns, n_mc):
+def scenario_tail_coefficient(sample, patterns, alpha, beta, n_mc):
     """Tail measures of a vine sample under an hour's mixed high/low scenarios.
+
+    Each pattern is a ``(letters, target_direction)`` pair such as
+    ``("HLL", "H")``: letter k, ``H`` or ``L``, is the direction of column
+    k + 1, and the target is column 0; for another target or column
+    order, permute the sample's columns.  All share ``alpha`` and ``beta``.
 
     Takes the first ``n_mc`` rows of ``sample`` (joint uniforms drawn
     by ``vine.simulate``) and returns one ``TailMeasureResult`` per
@@ -405,63 +362,65 @@ def scenario_tail_coefficient(sample, patterns, n_mc):
     n_mc = sample_size(n_mc, "n_mc")
     if n_mc < 1000:
         raise DomainError("n_mc must be at least 1000 for tail estimation")
+    if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
+        raise DomainError("alpha and beta must lie in (0, 0.5)")
+    if alpha * n_mc < RELIABILITY_FLOOR:
+        raise ResolutionError(
+            f"alpha*m = {alpha * n_mc:.1f} leaves fewer than "
+            f"{RELIABILITY_FLOOR} expected tail observations"
+        )
     u = sample_prefix(sample, n_mc)
     d = u.shape[1]
     patterns = tuple(patterns)
-    conditioning = sorted({v for p in patterns for v, _ in p.conditioning})
-    used = sorted(set(conditioning) | {p.target for p in patterns})
-    if any(not (0 <= v < d) for v in used):
-        raise DomainError(
-            f"pattern references variables outside the sample's 0..{d - 1} range"
-        )
-    if not np.all(np.isfinite(u[:, used])):
-        raise DomainError("sample must be finite")
-    for pattern in patterns:
-        if pattern.alpha * n_mc < RELIABILITY_FLOOR:
-            raise ResolutionError(
-                f"alpha*m = {pattern.alpha * n_mc:.1f} leaves fewer than "
-                f"{RELIABILITY_FLOOR} expected tail observations"
+    for letters, target in patterns:
+        if not 0 < len(letters) < d or set(letters) - {"H", "L"}:
+            raise DomainError(
+                f"pattern {letters!r} needs 1 to {d - 1} letters, each H or L"
             )
+        if target not in ("H", "L"):
+            raise DomainError(f"target direction must be H or L, got {target!r}")
+    width = max((len(letters) for letters, _ in patterns), default=0)
+    if not np.all(np.isfinite(u[:, : width + 1])):
+        raise DomainError("sample must be finite")
 
-    low = sorted({v for p in patterns for v, dr in p.conditioning if dr == "L"})
-    direct = has_column_ties(u[:, conditioning]) or has_column_ties(1.0 - u[:, low])
+    low = sorted(
+        {k + 1 for letters, _ in patterns for k, c in enumerate(letters) if c == "L"}
+    )
+    direct = has_column_ties(u[:, 1 : width + 1]) or has_column_ties(1.0 - u[:, low])
     lower_counts = {(): n_mc}
     strict_counts = {}
     results = []
-    for pattern in patterns:
+    for letters, target in patterns:
         x = np.column_stack(
-            [1.0 - u[:, v] if dr == "L" else u[:, v] for v, dr in pattern.conditioning]
+            [
+                1.0 - u[:, k + 1] if c == "L" else u[:, k + 1]
+                for k, c in enumerate(letters)
+            ]
         )
-        y = u[:, pattern.target]
-        if pattern.target_direction == "L":
-            y = 1.0 - y
-        if pattern.conditioning not in strict_counts:
-            strict_counts[pattern.conditioning] = (
+        y = 1.0 - u[:, 0] if target == "L" else u[:, 0]
+        if letters not in strict_counts:
+            strict_counts[letters] = (
                 strict_dominance_counts(x)
                 if direct
-                else _orthant_counts(u, pattern.conditioning, lower_counts)
+                else _orthant_counts(u, letters, lower_counts)
             )
-        collapsed = _Collapsed(x, y, strict_counts[pattern.conditioning])
-        result = _upper_measure(collapsed, pattern.alpha, pattern.beta)
-        metadata = dict(result.metadata)
-        metadata.update(
-            {
-                "pattern": pattern.label,
-                "target": pattern.target,
-                "target_direction": pattern.target_direction,
-                "conditioning": list(pattern.conditioning),
-                "n_mc": n_mc,
-            }
-        )
-        results.append(replace(result, metadata=metadata))
+        collapsed = _Collapsed(x, y, strict_counts[letters])
+        metadata = {
+            "pattern": letters,
+            "target": 0,
+            "target_direction": target,
+            "conditioning": [(k + 1, c) for k, c in enumerate(letters)],
+            "n_mc": n_mc,
+        }
+        results.append(_upper_measure(collapsed, alpha, beta, metadata))
     return tuple(results)
 
 
-def _orthant_counts(u, conditioning, lower_counts):
+def _orthant_counts(u, letters, lower_counts):
     # N_S by inclusion-exclusion over the Low columns S; lower_counts caches
     # M_U by sorted column tuple and starts as {(): m}
-    high = [v for v, dr in conditioning if dr == "H"]
-    low = [v for v, dr in conditioning if dr == "L"]
+    high = [k + 1 for k, c in enumerate(letters) if c == "H"]
+    low = [k + 1 for k, c in enumerate(letters) if c == "L"]
     counts = np.zeros(u.shape[0], dtype=np.int64)
     for k in range(len(low) + 1):
         for t in combinations(low, k):

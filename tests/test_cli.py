@@ -149,6 +149,19 @@ class TestIngest:
         assert meta["hours"] == [3, 12]
         assert "clock" in meta["clock_changes"].get("note", "")
 
+    def test_metadata_records_the_distinct_hours_written(
+        self, data_csv, tmp_path, capsys
+    ):
+        code, out, _ = invoke(
+            ["ingest", "--data", data_csv, "--hours", "12,3,12",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(out["artifacts"]) == ["metadata", "panel_03", "panel_12"]
+        meta = json.load(open(out["artifacts"]["metadata"]))
+        assert meta["hours"] == [3, 12]
+
     def test_full_day_data_reports_empty_repair_log(self, tmp_path, capsys):
         code, out, _ = invoke(
             ["synth", "--days", "70", "--seed", "1", "--out", str(tmp_path / "d")],

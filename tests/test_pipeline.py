@@ -661,6 +661,17 @@ class TestReportBundle:
         assert len(rolling_rows) == 3 * 6
         assert all(row[8] for row in rolling_rows)
 
+    def test_render_csv_cells_under_given_columns(self):
+        rows = [
+            {"b": 0.1, "a": "x,y", "c": True, "extra": 9},
+            {"a": 3, "b": np.float64(1e-17), "c": None},
+            {},
+        ]
+        text = pipeline.render_csv(rows, columns=("a", "b", "c"))
+        # a missing key or None is empty, floats round-trip, keys outside
+        # the columns are left out, and a comma is quoted
+        assert text == 'a,b,c\n"x,y",0.1,true\n3,1e-17,\n,,\n'
+
     def test_empty_lambda_levels_are_null_in_strict_json(self, tmp_path, panels):
         # this small quad hour leaves lambda_K levels with an empty
         # conditioning set: NaN in memory, null in the bundle

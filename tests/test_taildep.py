@@ -14,7 +14,6 @@ from powerdep.errors import DomainError, ResolutionError
 from powerdep.taildep import (
     DEFAULT_ALPHA_GRID,
     KendallFunction,
-    ScenarioPattern,
     lambda_kendall,
     multivariate_pit,
     scenario_tail_coefficient,
@@ -87,13 +86,13 @@ def level(sample, alpha, side):
 
 def upper_measure(sample, alpha, beta):
     # the scenario path's upper measure of the last column given all the
-    # others, none reflected
+    # others, none reflected; the scenario path reads its target from column 0
     u = np.asarray(sample, dtype=np.float64)
     n_cond = u.shape[1] - 1
-    pattern = ScenarioPattern(
-        tuple((v, "H") for v in range(n_cond)), target=n_cond, alpha=alpha, beta=beta
+    u = np.column_stack([u[:, -1], u[:, :-1]])
+    (result,) = scenario_tail_coefficient(
+        u, (("H" * n_cond, "H"),), alpha, beta, u.shape[0]
     )
-    (result,) = scenario_tail_coefficient(u, (pattern,), n_mc=u.shape[0])
     return result
 
 
@@ -115,9 +114,9 @@ def manual_model(trees, copulas):
     )
 
 
-def simulated_scenario(model, pattern, n_mc=20_000, seed=0):
+def simulated_scenario(model, pattern, n_mc=20_000, seed=0, alpha=0.05, beta=0.05):
     (result,) = scenario_tail_coefficient(
-        vine.simulate(model, n_mc, seed), (pattern,), n_mc=n_mc
+        vine.simulate(model, n_mc, seed), (pattern,), alpha, beta, n_mc
     )
     return result
 
@@ -513,52 +512,38 @@ class TestLambdaKendall:
 
 
 class TestScenarioPattern:
-    def test_normalization_and_label(self):
-        p = ScenarioPattern(
-            conditioning=((1, "high"), (2, "L"), (3, "Low")), target=0
-        )
-        assert p.conditioning == ((1, "H"), (2, "L"), (3, "L"))
-        assert p.label == "HLL"
-        assert p.target_direction == "H"
-
-    def test_label_reads_conditioning_only(self):
-        p = ScenarioPattern(
-            conditioning=((2, "low"), (1, "HIGH")), target=0, target_direction="l"
-        )
-        assert p.conditioning == ((2, "L"), (1, "H"))
-        assert p.label == "LH"
-        assert p.target_direction == "L"
-
     def test_validation(self):
+        u = uniform_sample(2000, 3, seed=0)
+        for pattern in (("", "H"), ("HLH", "H"), ("HX", "H"), ("HL", "X")):
+            with pytest.raises(DomainError):
+                scenario_tail_coefficient(u, (pattern,), 0.05, 0.05, 2000)
         with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=(), target=0)
+            scenario_tail_coefficient(u, (("H", "H"),), 0.5, 0.05, 2000)
         with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=((1, "H"), (1, "L")), target=0)
-        with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=((0, "H"),), target=0)
-        with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=((1, "X"),), target=0)
-        with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=((1, "H"),), target=0, alpha=0.5)
-        with pytest.raises(DomainError):
-            ScenarioPattern(conditioning=((1, "H"),), target=0, beta=0.0)
+            scenario_tail_coefficient(u, (("H", "H"),), 0.05, 0.0, 2000)
+
+    def test_only_the_columns_the_patterns_use_must_be_finite(self):
+        u = uniform_sample(2000, 4, seed=1)
+        u[5, 3] = np.nan
+        (ok,) = scenario_tail_coefficient(u, (("HL", "H"),), 0.05, 0.05, 2000)
+        (ref,) = scenario_tail_coefficient(u[:, :3], (("HL", "H"),), 0.05, 0.05, 2000)
+        assert ok == ref
+        with pytest.raises(DomainError, match="finite"):
+            scenario_tail_coefficient(u, (("HLH", "H"),), 0.05, 0.05, 2000)
 
 
 class TestScenarioCoefficient:
     def test_independence_all_high(self):
         model = three_var_model(BivariateCopula("independence"))
-        p = ScenarioPattern(conditioning=((1, "H"), (2, "H")), target=0)
-        res = simulated_scenario(model, p, n_mc=50_000, seed=4)
+        res = simulated_scenario(model, ("HH", "H"), n_mc=50_000, seed=4)
         assert abs(res.value - 0.05) < 3 * res.mc_stderr
 
     def test_reflecting_irrelevant_coordinate(self):
         # price (0) depends only on demand (1); wind (2) is independent,
         # so turning its direction around must not move the estimate
         model = three_var_model(BivariateCopula("gaussian", 0, (0.7,)))
-        p_hh = ScenarioPattern(conditioning=((1, "H"), (2, "H")), target=0)
-        p_hl = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
-        a = simulated_scenario(model, p_hh, n_mc=80_000, seed=21)
-        b = simulated_scenario(model, p_hl, n_mc=80_000, seed=22)
+        a = simulated_scenario(model, ("HH", "H"), n_mc=80_000, seed=21)
+        b = simulated_scenario(model, ("HL", "H"), n_mc=80_000, seed=22)
         assert abs(a.value - b.value) < 2 * math.hypot(a.mc_stderr, b.mc_stderr)
 
     def test_reversed_pattern_agrees_under_radial_symmetry(self):
@@ -574,25 +559,21 @@ class TestScenarioCoefficient:
                 t2: BivariateCopula("gaussian", 0, (0.2,)),
             },
         )
-        p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0)
-        q = ScenarioPattern(
-            conditioning=((1, "L"), (2, "H")), target=0, target_direction="L"
-        )
-        a = simulated_scenario(model, p, n_mc=80_000, seed=41)
-        b = simulated_scenario(model, q, n_mc=80_000, seed=42)
+        a = simulated_scenario(model, ("HL", "H"), n_mc=80_000, seed=41)
+        b = simulated_scenario(model, ("LH", "L"), n_mc=80_000, seed=42)
         assert a.value > 0.05
         assert abs(a.value - b.value) < 3 * math.hypot(a.mc_stderr, b.mc_stderr)
 
     def test_low_target_mirrors_negated_dependence(self):
         low = simulated_scenario(
             three_var_model(BivariateCopula("gaussian", 0, (-0.6,))),
-            ScenarioPattern(conditioning=((1, "H"),), target=0, target_direction="L"),
+            ("H", "L"),
             n_mc=80_000,
             seed=31,
         )
         high = simulated_scenario(
             three_var_model(BivariateCopula("gaussian", 0, (0.6,))),
-            ScenarioPattern(conditioning=((1, "H"),), target=0),
+            ("H", "H"),
             n_mc=80_000,
             seed=32,
         )
@@ -600,9 +581,9 @@ class TestScenarioCoefficient:
 
     def test_metadata_and_determinism(self):
         model = three_var_model(BivariateCopula("gumbel", 0, (1.6,)))
-        p = ScenarioPattern(conditioning=((1, "H"), (2, "L")), target=0, beta=0.1)
-        a = simulated_scenario(model, p, n_mc=20_000, seed=3)
-        b = simulated_scenario(model, p, n_mc=20_000, seed=3)
+        p = ("HL", "H")
+        a = simulated_scenario(model, p, n_mc=20_000, seed=3, beta=0.1)
+        b = simulated_scenario(model, p, n_mc=20_000, seed=3, beta=0.1)
         assert a == b
         assert a.metadata["pattern"] == "HL"
         assert a.metadata["n_mc"] == 20_000
@@ -610,35 +591,28 @@ class TestScenarioCoefficient:
         assert a.beta == 0.1
 
     def test_variable_range_checked(self):
+        # three variables leave two conditioning letters; the long forms
+        # of the directions are not letters
         model = three_var_model(BivariateCopula("independence"))
         with pytest.raises(DomainError):
-            simulated_scenario(
-                model, ScenarioPattern(conditioning=((5, "H"),), target=0)
-            )
+            simulated_scenario(model, ("HHH", "H"))
         with pytest.raises(DomainError):
-            simulated_scenario(
-                model, ScenarioPattern(conditioning=((1, "H"),), target=7)
-            )
+            simulated_scenario(model, ("H", "high"))
 
     def test_resolution_propagates(self):
         model = three_var_model(BivariateCopula("independence"))
-        p = ScenarioPattern(conditioning=((1, "H"),), target=0, alpha=0.01)
+        p = ("H", "H")
         with pytest.raises(ResolutionError):
-            simulated_scenario(model, p, n_mc=1000, seed=0)
+            simulated_scenario(model, p, n_mc=1000, seed=0, alpha=0.01)
         with pytest.raises(DomainError):
-            simulated_scenario(model, p, n_mc=500, seed=0)
+            simulated_scenario(model, p, n_mc=500, seed=0, alpha=0.01)
 
 
-def direction_patterns(n_cond, **levels):
+def direction_patterns(n_cond):
     # every High/Low direction of conditioning columns 1..n_cond, with both
     # target directions, target column 0
     return tuple(
-        ScenarioPattern(
-            conditioning=tuple(zip(range(1, n_cond + 1), letters)),
-            target=0,
-            target_direction=target,
-            **levels,
-        )
+        ("".join(letters), target)
         for letters in product("HL", repeat=n_cond)
         for target in "HL"
     )
@@ -646,23 +620,25 @@ def direction_patterns(n_cond, **levels):
 
 def reflected(u, pattern):
     # the pattern's working sample: Low columns reflected, target last
-    cols = [v for v, _ in pattern.conditioning] + [pattern.target]
-    dirs = [d for _, d in pattern.conditioning] + [pattern.target_direction]
+    letters, target = pattern
+    cols = list(range(1, len(letters) + 1)) + [0]
+    dirs = list(letters) + [target]
     return np.column_stack(
         [1.0 - u[:, v] if d == "L" else u[:, v] for v, d in zip(cols, dirs)]
     )
 
 
-def reference_json(u, pattern):
+def reference_json(u, pattern, alpha=0.05, beta=0.05):
     # today's definition: the upper measure on the explicitly reflected sample
-    ref = upper_measure(reflected(u, pattern), pattern.alpha, pattern.beta)
+    letters, target = pattern
+    ref = upper_measure(reflected(u, pattern), alpha, beta)
     out = ref.to_json_dict()
     out["metadata"].update(
         {
-            "pattern": pattern.label,
-            "target": pattern.target,
-            "target_direction": pattern.target_direction,
-            "conditioning": list(pattern.conditioning),
+            "pattern": letters,
+            "target": 0,
+            "target_direction": target,
+            "conditioning": [(k + 1, c) for k, c in enumerate(letters)],
             "n_mc": u.shape[0],
         }
     )
@@ -688,16 +664,16 @@ class TestScenarioOrthants:
     ):
         u = uniform_sample(2000, n_cond + 1, seed=60 + n_cond)
         assert not has_column_ties(u) and not has_column_ties(1.0 - u)
-        patterns = direction_patterns(n_cond, beta=0.1)
+        patterns = direction_patterns(n_cond)
         calls = recording_counts(monkeypatch)
-        results = scenario_tail_coefficient(u, patterns, n_mc=2000)
+        results = scenario_tail_coefficient(u, patterns, 0.05, 0.1, 2000)
         # one lower-orthant count per non-empty column subset, shared by
         # all 2^(n_cond + 1) patterns
         assert len(calls) == 2**n_cond - 1
         monkeypatch.undo()
         assert len(results) == len(patterns)
         for pattern, result in zip(patterns, results):
-            assert result.to_json_dict() == reference_json(u, pattern)
+            assert result.to_json_dict() == reference_json(u, pattern, beta=0.1)
 
     @pytest.mark.parametrize("n_cond", [1, 2, 3])
     def test_orthant_counts_match_brute_force(self, n_cond):
@@ -705,16 +681,14 @@ class TestScenarioOrthants:
         lower_counts = {(): 1500}
         for pattern in direction_patterns(n_cond)[::2]:
             x = reflected(u, pattern)[:, :-1]
-            counts = taildep._orthant_counts(u, pattern.conditioning, lower_counts)
+            counts = taildep._orthant_counts(u, pattern[0], lower_counts)
             assert np.array_equal(counts, brute_counts(x, x, True))
 
     def test_same_conditioning_letters_share_one_count(self, monkeypatch):
         u = uniform_sample(2000, 4, seed=80)
-        cond = ((1, "L"), (2, "H"), (3, "H"))
-        high = ScenarioPattern(conditioning=cond, target=0)
-        low = ScenarioPattern(conditioning=cond, target=0, target_direction="L")
+        high, low = ("LHH", "H"), ("LHH", "L")
         calls = recording_counts(monkeypatch)
-        both = scenario_tail_coefficient(u, (high, low), n_mc=2000)
+        both = scenario_tail_coefficient(u, (high, low), 0.05, 0.05, 2000)
         # LHH needs M_{w,s} and M_{d,w,s}; LHH:L adds nothing
         assert sorted(c.shape[1] for c in calls) == [2, 3]
         monkeypatch.undo()
@@ -730,10 +704,10 @@ class TestScenarioOrthants:
         # inclusion-exclusion is wrong here, so the fallback must run
         hl = patterns[2]
         x = reflected(u, hl)[:, :-1]
-        ie = taildep._orthant_counts(u, hl.conditioning, {(): 2000})
+        ie = taildep._orthant_counts(u, hl[0], {(): 2000})
         assert not np.array_equal(ie, brute_counts(x, x, True))
         calls = recording_counts(monkeypatch)
-        results = scenario_tail_coefficient(u, patterns, n_mc=2000)
+        results = scenario_tail_coefficient(u, patterns, 0.05, 0.05, 2000)
         # one direct count per conditioning pattern, on its reflected columns
         assert len(calls) == 4
         assert np.array_equal(calls[1], x)
@@ -747,12 +721,12 @@ class TestScenarioOrthants:
         u[0, 1], u[1, 1] = 1e-17, 2e-17
         assert not has_column_ties(u)
         assert has_column_ties(1.0 - u[:, 1:])
-        low = ScenarioPattern(conditioning=((1, "L"),), target=0)
+        low = ("L", "H")
         x = reflected(u, low)[:, :-1]
-        ie = taildep._orthant_counts(u, low.conditioning, {(): 2000})
+        ie = taildep._orthant_counts(u, low[0], {(): 2000})
         assert not np.array_equal(ie, brute_counts(x, x, True))
         calls = recording_counts(monkeypatch)
-        (result,) = scenario_tail_coefficient(u, (low,), n_mc=2000)
+        (result,) = scenario_tail_coefficient(u, (low,), 0.05, 0.05, 2000)
         assert len(calls) == 1
         assert np.array_equal(calls[0], x)
         monkeypatch.undo()
@@ -762,12 +736,11 @@ class TestScenarioOrthants:
         u = uniform_sample(2000, 4, seed=83)
         good = direction_patterns(3)[:4]
         calls = recording_counts(monkeypatch)
-        far = ScenarioPattern(conditioning=((1, "H"), (5, "L")), target=0)
+        far = ("HLLL", "H")
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, good + (far,), n_mc=2000)
-        thin = ScenarioPattern(conditioning=((1, "H"),), target=0, alpha=0.005)
+            scenario_tail_coefficient(u, good + (far,), 0.05, 0.05, 2000)
         with pytest.raises(ResolutionError):
-            scenario_tail_coefficient(u, good + (thin,), n_mc=2000)
+            scenario_tail_coefficient(u, good, 0.005, 0.05, 2000)
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, good, n_mc=999)
+            scenario_tail_coefficient(u, good, 0.05, 0.05, 999)
         assert calls == []

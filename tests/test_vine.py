@@ -662,7 +662,7 @@ _SIZED = {
     "induced_spearman": lambda n: vine.induced_spearman(_uniform(3), n),
     "induced_pair_tdc": lambda n: vine.induced_pair_tdc(_uniform(3), (0, 1), (0.05,), n),
     "scenario_tail_coefficient": lambda n: taildep.scenario_tail_coefficient(
-        _uniform(2), (taildep.ScenarioPattern(((1, "H"),), target=0),), n
+        _uniform(2), (("H", "H"),), 0.05, 0.05, n
     ),
 }
 
