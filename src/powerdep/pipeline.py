@@ -19,8 +19,9 @@ Results serialize through :func:`write_report_bundle` into one JSON per
 hour, a long-format CSV of every series, and a run-metadata JSON.  All
 randomness flows from the config seed through one child seed per hour
 and one per rolling window: each draws a single vine sample, and every
-measure reads the prefix of its configured Monte Carlo size.  So an
-identical (data, config) pair reproduces the bundle byte for byte.
+measure reads the prefix of its configured Monte Carlo size, price in
+column 0.  So an identical (data, config) pair reproduces the bundle
+byte for byte.
 
 ``config.jobs`` worker processes share the hours of the global study and
 the windows of each rolling hour.  For the length of a study every
@@ -408,10 +409,13 @@ def _scenario_patterns_for(config, names):
 
 
 def analyze_hour(panel, config):
-    """Fit one hour end-to-end and compute every dependence measure."""
+    """Fit a configured hour end-to-end and compute every dependence measure."""
+    hour = panel.hour
+    if hour not in config.hours:
+        # the config checked its scenario patterns against its hours only
+        raise ConfigError(f"hour {hour} is not among the configured hours")
     fits, model = fit_hour(panel, config)
     names = panel.variable_names
-    hour = panel.hour
     warnings = [
         f"{name}: AR-GARCH fit did not converge: {fit.diagnostics['message']}"
         for name, fit in fits.items()
@@ -442,14 +446,10 @@ def analyze_hour(panel, config):
     # keep only the rows the dominance counting reads, so the long draw is
     # freed before it
     sample = sample[: max(config.n_mc_lambda, config.n_mc_scenario)].copy()
-    lam_sample = sample[: config.n_mc_lambda]
-    lambda_k = taildep.lambda_kendall(
-        np.column_stack([lam_sample[:, 1:], lam_sample[:, 0]]), config.alpha_grid
-    )
-
+    lambda_k = taildep.lambda_kendall(sample[: config.n_mc_lambda], config.alpha_grid)
     patterns = _scenario_patterns_for(config, names)
     results = taildep.scenario_tail_coefficient(
-        sample, patterns, config.alpha, config.beta, config.n_mc_scenario
+        sample[: config.n_mc_scenario], patterns, config.alpha, config.beta
     )
     scenario_table = [
         {"pattern": letters, "target_direction": target, "result": result}

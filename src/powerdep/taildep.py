@@ -15,10 +15,13 @@ target variable Y reacts to joint extremes of several drivers:
   coefficient, both sides at once.
 * ``scenario_tail_coefficient`` evaluates an hour's mixed high/low
   scenarios (e.g. high demand with low wind) as the upper measure on
-  reflected coordinates of a vine-simulated sample, each scenario a
+  reflected coordinates of a sample, each scenario a
   ``(letters, target)`` pair such as ``("HL", "H")``.  Every scenario's
   strict count follows by inclusion-exclusion from one lower-orthant
   count per column subset, shared by all of the hour's patterns.
+
+Both estimators take the target Y in column 0 and X in the columns
+after it, and count every row they are given: the caller picks the rows.
 
 Everything here is estimated by counting on finite samples; no
 parametric form is assumed for the copula that links W and Y.  The
@@ -49,7 +52,7 @@ from .counting import (
     strict_dominance_counts,
     weak_dominance_counts,
 )
-from .errors import DomainError, ResolutionError, sample_size
+from .errors import DomainError, ResolutionError
 
 # Measures conditioned on fewer sample points than this are flagged
 # unreliable rather than silently returned.
@@ -152,38 +155,31 @@ class TailMeasureResult:
         }
 
 
-def sample_prefix(sample, n_mc):
-    """The first ``n_mc`` rows of a 2-d sample, e.g. a ``vine.simulate`` draw."""
-    u = np.asarray(sample, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] < n_mc:
-        raise DomainError(f"sample must be 2-d with at least n_mc = {n_mc} rows")
-    return u[:n_mc]
-
-
 def _split_sample(sample):
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
-        raise DomainError("sample must be 2-d with at least one X column and a Y column")
+        raise DomainError("sample must be 2-d with a Y column and at least one X column")
     if arr.shape[0] < 2:
         raise DomainError("sample must contain at least two rows")
     if not np.all(np.isfinite(arr)):
         raise DomainError("sample must be finite")
-    return arr[:, :-1], arr[:, -1]
+    return arr[:, 1:], arr[:, 0]
 
 
 class _Collapsed:
     """Shared counting state for one (X columns, Y column) sample.
 
-    ``strict`` is the strict dominance count of the rows of ``x``.
+    ``strict`` is the strict dominance count of the rows of ``x``.  The
+    caller passes ``tied`` false only when no column of ``x`` holds a tie.
     """
 
-    def __init__(self, x, y, strict):
+    def __init__(self, x, y, strict, tied):
         m = x.shape[0]
         # Kendall collapse (strict); its inverse gives the thresholds.
         self.kendall = KendallFunction(strict, x.shape[1])
         # Conditioning values: empirical joint CDF (weak, self included);
         # without ties the weak count is the strict count plus the row itself.
-        weak = weak_dominance_counts(x) if has_column_ties(x) else strict + 1
+        weak = weak_dominance_counts(x) if tied else strict + 1
         self.v = weak / m
         # Target ranks: empirical CDF of Y at the sample points.
         order = np.sort(y)
@@ -268,8 +264,9 @@ class LambdaKendallResult:
 def lambda_kendall(sample, alpha_grid=DEFAULT_ALPHA_GRID):
     """Lower and upper tail coefficients of Y given joint extremes of X.
 
-    Evaluates q^K(alpha, alpha) along a decreasing ``alpha_grid`` in
-    (0, 0.1], flags grid points whose conditioning set falls below the
+    Y is column 0 of ``sample``, X the columns after it, and every row
+    counts.  Evaluates q^K(alpha, alpha) along a decreasing ``alpha_grid``
+    in (0, 0.1], flags grid points whose conditioning set falls below the
     reliability floor, and extrapolates the reliable portion linearly
     in alpha to 0.  ``point_estimate`` is the measure at the smallest
     reliable alpha; ``extrapolated`` is the least-squares intercept.
@@ -284,7 +281,7 @@ def lambda_kendall(sample, alpha_grid=DEFAULT_ALPHA_GRID):
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alpha_grid must be strictly decreasing")
     x, y = _split_sample(sample)
-    collapsed = _Collapsed(x, y, strict_dominance_counts(x))
+    collapsed = _Collapsed(x, y, strict_dominance_counts(x), has_column_ties(x))
     return {side: _lambda_side(collapsed, alphas, side) for side in ("lower", "upper")}
 
 
@@ -327,24 +324,25 @@ def _lambda_side(collapsed, alphas, side):
     )
 
 
-def scenario_tail_coefficient(sample, patterns, alpha, beta, n_mc):
-    """Tail measures of a vine sample under an hour's mixed high/low scenarios.
+def scenario_tail_coefficient(sample, patterns, alpha, beta):
+    """Tail measures of a sample under an hour's mixed high/low scenarios.
 
     Each pattern is a ``(letters, target_direction)`` pair such as
     ``("HLL", "H")``: letter k, ``H`` or ``L``, is the direction of column
     k + 1, and the target is column 0; for another target or column
     order, permute the sample's columns.  All share ``alpha`` and ``beta``.
 
-    Takes the first ``n_mc`` rows of ``sample`` (joint uniforms drawn
-    by ``vine.simulate``) and returns one ``TailMeasureResult`` per
-    pattern, in order.  Each is the upper Kendall measure of the
-    pattern's working sample, in which every Low-direction coordinate is
-    reflected (u -> 1 - u, target included), so the scenario always reads
-    "target extreme in its direction given all conditioners extreme in
-    theirs".  Reflection is driven entirely by the direction labels.
+    Counts all m rows of ``sample`` (joint uniforms, such as a prefix of
+    a ``vine.simulate`` draw; the results' ``n_mc`` is m) and returns one
+    ``TailMeasureResult`` per pattern, in order.  Each is the upper Kendall
+    measure of the pattern's working sample, in which every Low-direction
+    coordinate is reflected (u -> 1 - u, target included), so the scenario
+    always reads "target extreme in its direction given all conditioners
+    extreme in theirs".  Reflection is driven entirely by the direction
+    labels.
 
     The strict counts of the working samples come from lower-orthant
-    counts of the unreflected prefix.  With M_U(i) the number of rows
+    counts of the unreflected sample.  With M_U(i) the number of rows
     strictly below row i on the columns U (M_empty = m), a pattern with
     conditioning columns C, Low among them S, has the strict count
 
@@ -356,21 +354,20 @@ def scenario_tail_coefficient(sample, patterns, alpha, beta, n_mc):
     conditioning letters share N_S.  A tie in a conditioning column, or
     in a reflected column 1 - u (which merges values closer than about
     1.1e-16), breaks that complement, so then every pattern counts its
-    reflected columns directly.  Every pattern is checked before the
-    first count.
+    reflected columns directly.  The sample's shape, the levels, alpha * m
+    and every pattern are checked before the first count.
     """
-    n_mc = sample_size(n_mc, "n_mc")
-    if n_mc < 1000:
-        raise DomainError("n_mc must be at least 1000 for tail estimation")
+    u = np.asarray(sample, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] < 2:
+        raise DomainError("sample must be 2-d with a target and a conditioning column")
+    m, d = u.shape
     if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
         raise DomainError("alpha and beta must lie in (0, 0.5)")
-    if alpha * n_mc < RELIABILITY_FLOOR:
+    if alpha * m < RELIABILITY_FLOOR:
         raise ResolutionError(
-            f"alpha*m = {alpha * n_mc:.1f} leaves fewer than "
+            f"alpha*m = {alpha * m:.1f} leaves fewer than "
             f"{RELIABILITY_FLOOR} expected tail observations"
         )
-    u = sample_prefix(sample, n_mc)
-    d = u.shape[1]
     patterns = tuple(patterns)
     for letters, target in patterns:
         if not 0 < len(letters) < d or set(letters) - {"H", "L"}:
@@ -387,7 +384,7 @@ def scenario_tail_coefficient(sample, patterns, alpha, beta, n_mc):
         {k + 1 for letters, _ in patterns for k, c in enumerate(letters) if c == "L"}
     )
     direct = has_column_ties(u[:, 1 : width + 1]) or has_column_ties(1.0 - u[:, low])
-    lower_counts = {(): n_mc}
+    lower_counts = {(): m}
     strict_counts = {}
     results = []
     for letters, target in patterns:
@@ -404,13 +401,13 @@ def scenario_tail_coefficient(sample, patterns, alpha, beta, n_mc):
                 if direct
                 else _orthant_counts(u, letters, lower_counts)
             )
-        collapsed = _Collapsed(x, y, strict_counts[letters])
+        collapsed = _Collapsed(x, y, strict_counts[letters], direct)
         metadata = {
             "pattern": letters,
             "target": 0,
             "target_direction": target,
             "conditioning": [(k + 1, c) for k, c in enumerate(letters)],
-            "n_mc": n_mc,
+            "n_mc": m,
         }
         results.append(_upper_measure(collapsed, alpha, beta, metadata))
     return tuple(results)

@@ -34,7 +34,7 @@ from .errors import (
     StructureError,
     sample_size,
 )
-from .taildep import RELIABILITY_FLOOR, sample_prefix
+from .taildep import RELIABILITY_FLOOR
 
 
 @dataclass(frozen=True, order=True)
@@ -285,24 +285,14 @@ def _fit_edge(u_x, u_y, test, candidates, indep_level):
     """AIC family selection behind a Kendall tau independence pre-test.
 
     ``test`` is ``stats.kendalltau(u_x, u_y)``.  When it cannot reject
-    independence at ``indep_level`` the edge gets the independence copula
-    outright, as in the standard sequential vine toolchain; pass
+    independence at ``indep_level`` the independence copula is the one
+    candidate, as in the standard sequential vine toolchain; pass
     ``indep_level=None`` for pure AIC selection.
     """
     if indep_level is not None:
         p_value = 1.0 if np.isnan(test.pvalue) else float(test.pvalue)
         if p_value > indep_level:
-            cop = BivariateCopula("independence")
-            meta = {
-                "loglik": 0.0,
-                "aic": 0.0,
-                "family": "independence",
-                "rotation": 0,
-                "warnings": [],
-                "boundary": False,
-                "indep_test_p": p_value,
-            }
-            return cop, meta
+            candidates = (("independence", 0),)
     # every candidate fit reads the test's tau
     sel = select_family_aic(
         np.column_stack([u_x, u_y]), candidates, tau=test.statistic
@@ -464,6 +454,14 @@ def _rank_corr(ranks):
     rho = np.corrcoef(ranks)
     upper = np.triu(rho, 1)
     return upper + upper.T + np.eye(ranks.shape[0])
+
+
+def sample_prefix(sample, n_mc):
+    """The first ``n_mc`` rows of a 2-d sample, e.g. a ``simulate`` draw."""
+    u = np.asarray(sample, dtype=np.float64)
+    if u.ndim != 2 or u.shape[0] < n_mc:
+        raise DomainError(f"sample must be 2-d with at least n_mc = {n_mc} rows")
+    return u[:n_mc]
 
 
 def induced_spearman(sample, n_mc):

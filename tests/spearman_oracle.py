@@ -10,7 +10,7 @@ import numpy as np
 from scipy import stats
 
 from powerdep.errors import DomainError
-from powerdep.taildep import sample_prefix
+from powerdep.vine import sample_prefix
 
 
 def _rank_corr(block):

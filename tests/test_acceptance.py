@@ -122,7 +122,7 @@ def test_independence_identity_coverage():
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
         sample = rng.random((100_000, 2)) * 0.999998 + 1e-6
-        result = taildep.lambda_kendall(sample, (0.05,))["lower"]
+        result = taildep.lambda_kendall(np.roll(sample, 1, axis=1), (0.05,))["lower"]
         covered += abs(result.values[0] - 0.05) < 3.0 * result.stderrs[0]
     report(
         "independence identity",
@@ -159,7 +159,7 @@ def test_conditional_count_exactness():
             sample[: m // 3] = sample[m // 3 : 2 * (m // 3)]  # duplicated rows
         # lambda_kendall's lower side at alpha = beta, every level of its grid
         grid = (0.1, float(rng.uniform(0.05, 0.1)))
-        result = taildep.lambda_kendall(sample, grid)["lower"]
+        result = taildep.lambda_kendall(np.roll(sample, 1, axis=1), grid)["lower"]
         counted = list(zip(result.values, result.n_conditioning))
         if counted != [brute_lower_count(sample, a, a) for a in grid]:
             mismatches.append(case)
@@ -207,7 +207,9 @@ def test_lambda_kendall_curve_ordering():
         "clayton": BivariateCopula("clayton", 0, (spearman_half_theta("clayton"),)),
     }
     curves = {
-        name: taildep.lambda_kendall(copula_oracle.sample(cop, 1_000_000, seed=88))
+        name: taildep.lambda_kendall(
+            np.roll(copula_oracle.sample(cop, 1_000_000, seed=88), 1, axis=1)
+        )
         for name, cop in copulas.items()
     }
     lower = {name: np.array(c["lower"].values) for name, c in curves.items()}

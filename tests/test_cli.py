@@ -255,7 +255,7 @@ class TestClaytonGenerator:
         panel = slice_hour(records, 3)
         _, model = pipeline.fit_hour(panel, pipeline.AnalysisConfig())
         u = vine.simulate(model, 200_000, seed=77)
-        price_given_demand = np.column_stack([u[:, 1], u[:, 0]])
+        price_given_demand = np.column_stack([u[:, 0], u[:, 1]])
         lam = taildep.lambda_kendall(price_given_demand)
         assert lam["lower"].extrapolated > 0.3
         assert lam["upper"].extrapolated < 0.15

@@ -248,6 +248,20 @@ class TestRunGlobal:
         with pytest.raises(ConfigError, match="hours"):
             pipeline.run_global({3: panels[3]}, small_config())
 
+    def test_panel_of_an_unconfigured_hour_is_refused_before_any_fit(
+        self, panels, monkeypatch
+    ):
+        # the config checked its two-letter patterns against hour 3 only;
+        # at quadrivariate hour 12 they would silently leave solar out
+        config = small_config(hours=(3,), scenarios=("HL", "LH:L"))
+
+        def no_fit(panel, config):
+            raise AssertionError("the hour was fitted")
+
+        monkeypatch.setattr(pipeline, "fit_hour", no_fit)
+        with pytest.raises(ConfigError, match="hour 12"):
+            pipeline.analyze_hour(panels[12], config)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_are_isolated_per_hour(self, panels, jobs):
         vals = panels[3].values.copy()

@@ -51,8 +51,15 @@ def comonotone_sample(m, d=2, shuffle_seed=None):
     return np.column_stack([u] * d)
 
 
+def y_first(sample):
+    # a sample written with Y last, moved to the estimators' layout: Y in
+    # column 0, the X columns after it in their order
+    return np.roll(np.asarray(sample, dtype=np.float64), 1, axis=1)
+
+
 def brute_q(sample, alpha, beta, side):
-    # independent recount of the documented conventions, row by row
+    # independent recount of the documented conventions, row by row, on a
+    # sample with Y last
     arr = np.asarray(sample, float)
     x, y = arr[:, :-1], arr[:, -1]
     m = len(arr)
@@ -80,19 +87,16 @@ def kendall_fn(sample):
 
 def level(sample, alpha, side):
     # lambda_kendall's value, stderr and conditioning count at alpha = beta
-    res = lambda_kendall(sample, (alpha,))[side]
+    res = lambda_kendall(y_first(sample), (alpha,))[side]
     return res.values[0], res.stderrs[0], res.n_conditioning[0]
 
 
 def upper_measure(sample, alpha, beta):
     # the scenario path's upper measure of the last column given all the
     # others, none reflected; the scenario path reads its target from column 0
-    u = np.asarray(sample, dtype=np.float64)
+    u = y_first(sample)
     n_cond = u.shape[1] - 1
-    u = np.column_stack([u[:, -1], u[:, :-1]])
-    (result,) = scenario_tail_coefficient(
-        u, (("H" * n_cond, "H"),), alpha, beta, u.shape[0]
-    )
+    (result,) = scenario_tail_coefficient(u, (("H" * n_cond, "H"),), alpha, beta)
     return result
 
 
@@ -116,7 +120,7 @@ def manual_model(trees, copulas):
 
 def simulated_scenario(model, pattern, n_mc=20_000, seed=0, alpha=0.05, beta=0.05):
     (result,) = scenario_tail_coefficient(
-        vine.simulate(model, n_mc, seed), (pattern,), alpha, beta, n_mc
+        vine.simulate(model, n_mc, seed), (pattern,), alpha, beta
     )
     return result
 
@@ -292,7 +296,7 @@ class TestMultivariatePit:
 class TestTailMeasures:
     def test_lower_independence_identity(self):
         sample = uniform_sample(40_000, 3, seed=3)
-        res = lambda_kendall(sample, (0.05,))["lower"]
+        res = lambda_kendall(y_first(sample), (0.05,))["lower"]
         assert abs(res.values[0] - 0.05) < 3 * res.stderrs[0]
         assert res.side == "lower"
         assert res.reliable == (True,)
@@ -327,7 +331,8 @@ class TestTailMeasures:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)
-        # the scenario path counts at least 1000 rows
+        # at m >= 1000, alpha >= 0.05 keeps alpha * m above the reliability
+        # floor of the scenario path
         m = int(rng.integers(1000, 2000))
         x_cols = int(rng.integers(1, 4))
         kind = seed % 3
@@ -343,7 +348,7 @@ class TestTailMeasures:
         beta = float(rng.uniform(0.05, 0.45))
         # lambda_kendall: both sides, alpha = beta, at every level of its grid
         grid = (0.1, float(rng.uniform(0.05, 0.1)))
-        res = lambda_kendall(arr, grid)
+        res = lambda_kendall(y_first(arr), grid)
         for side in ("lower", "upper"):
             for a, value, n_cond in zip(grid, res[side].values, res[side].n_conditioning):
                 assert (value, n_cond) == brute_q(arr, a, a, side)
@@ -392,7 +397,7 @@ class TestTailMeasures:
         bad = uniform_sample(200, 3, seed=0)
         bad[0, 0] = np.nan
         with pytest.raises(DomainError):
-            lambda_kendall(bad)
+            lambda_kendall(y_first(bad))
 
     def test_json_dict(self):
         res = upper_measure(uniform_sample(2000, 2, seed=1), 0.1, 0.1)
@@ -408,14 +413,14 @@ class TestTailMeasures:
 class TestLambdaKendall:
     def test_independence_extrapolates_to_zero(self):
         sample = uniform_sample(40_000, 3, seed=17)
-        res = lambda_kendall(sample)["lower"]
+        res = lambda_kendall(y_first(sample))["lower"]
         for a, v, se in zip(res.alphas, res.values, res.stderrs):
             assert abs(v - a) < 4 * se
         assert res.extrapolated < 0.05
 
     def test_comonotone_is_one_everywhere(self):
         sample = comonotone_sample(5000, d=3, shuffle_seed=1)
-        res = lambda_kendall(sample)["lower"]
+        res = lambda_kendall(y_first(sample))["lower"]
         assert res.values == (1.0, 1.0, 1.0, 1.0)
         assert res.extrapolated == 1.0
         assert res.point_estimate == 1.0
@@ -424,7 +429,7 @@ class TestLambdaKendall:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_independence_tracks_alpha(self, side, d):
-        res = lambda_kendall(uniform_sample(100_000, d, seed=12))[side]
+        res = lambda_kendall(y_first(uniform_sample(100_000, d, seed=12)))[side]
         for a, v, se in zip(res.alphas, res.values, res.stderrs):
             assert abs(v - a) < 4 * se
 
@@ -433,7 +438,9 @@ class TestLambdaKendall:
         # tau matched to 1/3 across families, as in the published figure:
         # clayton leads the lower tail and gumbel the upper, at every level
         values = {
-            name: lambda_kendall(copula_oracle.sample(cop, 300_000, 77))[side].values
+            name: lambda_kendall(y_first(copula_oracle.sample(cop, 300_000, 77)))[
+                side
+            ].values
             for name, cop in (
                 ("gaussian", BivariateCopula("gaussian", 0, (0.5,))),
                 ("gumbel", BivariateCopula("gumbel", 0, (1.5,))),
@@ -448,12 +455,12 @@ class TestLambdaKendall:
 
     def test_clayton_collapsed_pair(self):
         pair = copula_oracle.sample(BivariateCopula("clayton", 0, (2.0,)), 1_000_000, 5)
-        res = lambda_kendall(pair)["lower"]
+        res = lambda_kendall(y_first(pair))["lower"]
         assert abs(res.extrapolated - 2 ** -0.5) < 0.05
 
     def test_gumbel_collapsed_pair_upper(self):
         pair = copula_oracle.sample(BivariateCopula("gumbel", 0, (2.0,)), 1_000_000, 8)
-        res = lambda_kendall(pair)["upper"]
+        res = lambda_kendall(y_first(pair))["upper"]
         assert abs(res.extrapolated - (2.0 - 2 ** 0.5)) < 0.05
 
     @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "ties"])
@@ -462,14 +469,14 @@ class TestLambdaKendall:
         if ties:
             sample = np.round(sample, 3)
         assert has_column_ties(sample[:, :-1]) == ties
-        res = lambda_kendall(sample)
+        res = lambda_kendall(y_first(sample))
         alphas = res["lower"].alphas
         assert res["lower"].values == tuple(brute_q(sample, a, a, "lower")[0] for a in alphas)
         assert res["upper"].values == tuple(upper_measure(sample, a, a).value for a in alphas)
 
     def test_partial_reliability(self):
         sample = uniform_sample(1600, 2, seed=2)
-        res = lambda_kendall(sample, (0.1, 0.01))["lower"]
+        res = lambda_kendall(y_first(sample), (0.1, 0.01))["lower"]
         assert res.reliable == (True, False)
         assert res.smallest_reliable_alpha == 0.1
         assert res.point_estimate == res.values[0]
@@ -478,16 +485,16 @@ class TestLambdaKendall:
     def test_entirely_unreliable_grid(self):
         sample = uniform_sample(300, 2, seed=2)
         with pytest.raises(ResolutionError):
-            lambda_kendall(sample, (0.01,))
+            lambda_kendall(y_first(sample), (0.01,))
 
     def test_grid_validation(self):
         sample = uniform_sample(2000, 2, seed=2)
         with pytest.raises(DomainError):
-            lambda_kendall(sample, ())
+            lambda_kendall(y_first(sample), ())
         with pytest.raises(DomainError):
-            lambda_kendall(sample, (0.01, 0.05))
+            lambda_kendall(y_first(sample), (0.01, 0.05))
         with pytest.raises(DomainError):
-            lambda_kendall(sample, (0.2, 0.1))
+            lambda_kendall(y_first(sample), (0.2, 0.1))
 
     @pytest.mark.parametrize(
         "bad",
@@ -503,7 +510,8 @@ class TestLambdaKendall:
             lambda_kendall(bad)
 
     def test_json_dict(self):
-        res = lambda_kendall(uniform_sample(4000, 2, seed=3), (0.1, 0.05))["upper"]
+        sample = y_first(uniform_sample(4000, 2, seed=3))
+        res = lambda_kendall(sample, (0.1, 0.05))["upper"]
         data = res.to_json_dict()
         assert data["side"] == "upper"
         assert data["alphas"] == [0.1, 0.05]
@@ -516,20 +524,20 @@ class TestScenarioPattern:
         u = uniform_sample(2000, 3, seed=0)
         for pattern in (("", "H"), ("HLH", "H"), ("HX", "H"), ("HL", "X")):
             with pytest.raises(DomainError):
-                scenario_tail_coefficient(u, (pattern,), 0.05, 0.05, 2000)
+                scenario_tail_coefficient(u, (pattern,), 0.05, 0.05)
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, (("H", "H"),), 0.5, 0.05, 2000)
+            scenario_tail_coefficient(u, (("H", "H"),), 0.5, 0.05)
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, (("H", "H"),), 0.05, 0.0, 2000)
+            scenario_tail_coefficient(u, (("H", "H"),), 0.05, 0.0)
 
     def test_only_the_columns_the_patterns_use_must_be_finite(self):
         u = uniform_sample(2000, 4, seed=1)
         u[5, 3] = np.nan
-        (ok,) = scenario_tail_coefficient(u, (("HL", "H"),), 0.05, 0.05, 2000)
-        (ref,) = scenario_tail_coefficient(u[:, :3], (("HL", "H"),), 0.05, 0.05, 2000)
+        (ok,) = scenario_tail_coefficient(u, (("HL", "H"),), 0.05, 0.05)
+        (ref,) = scenario_tail_coefficient(u[:, :3], (("HL", "H"),), 0.05, 0.05)
         assert ok == ref
         with pytest.raises(DomainError, match="finite"):
-            scenario_tail_coefficient(u, (("HLH", "H"),), 0.05, 0.05, 2000)
+            scenario_tail_coefficient(u, (("HLH", "H"),), 0.05, 0.05)
 
 
 class TestScenarioCoefficient:
@@ -604,7 +612,7 @@ class TestScenarioCoefficient:
         p = ("H", "H")
         with pytest.raises(ResolutionError):
             simulated_scenario(model, p, n_mc=1000, seed=0, alpha=0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(ResolutionError):
             simulated_scenario(model, p, n_mc=500, seed=0, alpha=0.01)
 
 
@@ -666,7 +674,7 @@ class TestScenarioOrthants:
         assert not has_column_ties(u) and not has_column_ties(1.0 - u)
         patterns = direction_patterns(n_cond)
         calls = recording_counts(monkeypatch)
-        results = scenario_tail_coefficient(u, patterns, 0.05, 0.1, 2000)
+        results = scenario_tail_coefficient(u, patterns, 0.05, 0.1)
         # one lower-orthant count per non-empty column subset, shared by
         # all 2^(n_cond + 1) patterns
         assert len(calls) == 2**n_cond - 1
@@ -688,7 +696,7 @@ class TestScenarioOrthants:
         u = uniform_sample(2000, 4, seed=80)
         high, low = ("LHH", "H"), ("LHH", "L")
         calls = recording_counts(monkeypatch)
-        both = scenario_tail_coefficient(u, (high, low), 0.05, 0.05, 2000)
+        both = scenario_tail_coefficient(u, (high, low), 0.05, 0.05)
         # LHH needs M_{w,s} and M_{d,w,s}; LHH:L adds nothing
         assert sorted(c.shape[1] for c in calls) == [2, 3]
         monkeypatch.undo()
@@ -707,7 +715,7 @@ class TestScenarioOrthants:
         ie = taildep._orthant_counts(u, hl[0], {(): 2000})
         assert not np.array_equal(ie, brute_counts(x, x, True))
         calls = recording_counts(monkeypatch)
-        results = scenario_tail_coefficient(u, patterns, 0.05, 0.05, 2000)
+        results = scenario_tail_coefficient(u, patterns, 0.05, 0.05)
         # one direct count per conditioning pattern, on its reflected columns
         assert len(calls) == 4
         assert np.array_equal(calls[1], x)
@@ -726,7 +734,7 @@ class TestScenarioOrthants:
         ie = taildep._orthant_counts(u, low[0], {(): 2000})
         assert not np.array_equal(ie, brute_counts(x, x, True))
         calls = recording_counts(monkeypatch)
-        (result,) = scenario_tail_coefficient(u, (low,), 0.05, 0.05, 2000)
+        (result,) = scenario_tail_coefficient(u, (low,), 0.05, 0.05)
         assert len(calls) == 1
         assert np.array_equal(calls[0], x)
         monkeypatch.undo()
@@ -738,9 +746,28 @@ class TestScenarioOrthants:
         calls = recording_counts(monkeypatch)
         far = ("HLLL", "H")
         with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, good + (far,), 0.05, 0.05, 2000)
+            scenario_tail_coefficient(u, good + (far,), 0.05, 0.05)
         with pytest.raises(ResolutionError):
-            scenario_tail_coefficient(u, good, 0.005, 0.05, 2000)
-        with pytest.raises(DomainError):
-            scenario_tail_coefficient(u, good, 0.05, 0.05, 999)
+            scenario_tail_coefficient(u, good, 0.005, 0.05)
+        bad = u.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            scenario_tail_coefficient(bad, good, 0.05, 0.05)
         assert calls == []
+
+    def test_a_data_sized_sample_is_counted_whole(self):
+        # the 993 rows of a 1000-day hour, fewer than any Monte Carlo size
+        # of the study; alpha * m = 49.65 still clears the reliability floor
+        u = uniform_sample(993, 4, seed=84)
+        patterns = direction_patterns(3)
+        results = scenario_tail_coefficient(u, patterns, 0.05, 0.05)
+        for pattern, result in zip(patterns, results):
+            assert result.to_json_dict() == reference_json(u, pattern)
+            value, n_cond = brute_q(reflected(u, pattern), 0.05, 0.05, "upper")
+            assert (result.value, result.n_conditioning) == (value, n_cond)
+        grid = (0.1, 0.05)
+        res = lambda_kendall(u, grid)
+        y_last = np.roll(u, -1, axis=1)
+        for side in ("lower", "upper"):
+            for a, value, n_cond in zip(grid, res[side].values, res[side].n_conditioning):
+                assert (value, n_cond) == brute_q(y_last, a, a, side)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from powerdep import bicop, errors, taildep, vine
+from powerdep import bicop, errors, vine
 from powerdep.bicop import BivariateCopula
 from powerdep.errors import (
     DegenerateSeriesError,
@@ -661,9 +661,6 @@ _SIZED = {
     ),
     "induced_spearman": lambda n: vine.induced_spearman(_uniform(3), n),
     "induced_pair_tdc": lambda n: vine.induced_pair_tdc(_uniform(3), (0, 1), (0.05,), n),
-    "scenario_tail_coefficient": lambda n: taildep.scenario_tail_coefficient(
-        _uniform(2), (("H", "H"),), 0.05, 0.05, n
-    ),
 }
 
 
