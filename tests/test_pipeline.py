@@ -149,6 +149,19 @@ class TestAnalysisConfig:
         with pytest.raises(ConfigError):
             AnalysisConfig(**kwargs)
 
+    # the scenarios count every row analyze_hour hands them, so their Monte
+    # Carlo size is read and checked here alone
+    @pytest.mark.parametrize("bad", [0.5, 2.9, True, 10_000.0], ids=repr)
+    def test_non_integer_scenario_size_is_refused(self, bad):
+        with pytest.raises(ConfigError, match="cannot read n_mc_scenario"):
+            AnalysisConfig(n_mc_scenario=bad)
+
+    @pytest.mark.parametrize("size", [np.int64(12_000), "12000"], ids=repr)
+    def test_integer_scenario_size_is_read_as_an_int(self, size):
+        cfg = AnalysisConfig(n_mc_scenario=size)
+        assert type(cfg.n_mc_scenario) is int
+        assert cfg == AnalysisConfig(n_mc_scenario=12_000)
+
     def test_pattern_needs_a_letter_per_conditioning_variable(self):
         # a quadrivariate hour conditions on demand, wind and solar
         with pytest.raises(ConfigError, match="shorter than the 3"):

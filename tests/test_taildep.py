@@ -530,6 +530,12 @@ class TestScenarioPattern:
         with pytest.raises(DomainError):
             scenario_tail_coefficient(u, (("H", "H"),), 0.05, 0.0)
 
+    @pytest.mark.parametrize("shape", [(2000,), (2000, 1)], ids=repr)
+    def test_sample_needs_a_target_and_a_conditioning_column(self, shape):
+        u = uniform_sample(2000, 2, seed=2)[:, 0].reshape(shape)
+        with pytest.raises(DomainError, match="2-d with a target"):
+            scenario_tail_coefficient(u, (("H", "H"),), 0.05, 0.05)
+
     def test_only_the_columns_the_patterns_use_must_be_finite(self):
         u = uniform_sample(2000, 4, seed=1)
         u[5, 3] = np.nan
