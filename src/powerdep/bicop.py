@@ -14,11 +14,23 @@ inverse reflects the result.  Every base family is exchangeable, so the
 margin-1 h-function is the margin-2 one with u and v swapped.
 
 Evaluation clamps pseudo-observations into [1e-12, 1 - 1e-12]; values
-outside [0, 1] raise :class:`~powerdep.errors.DomainError`.
+outside [0, 1] raise :class:`~powerdep.errors.DomainError`, and so do
+parameters that are not finite.
+
+Student-t quantiles t_nu^-1(p) come from one table, built on first use
+in each process: asinh of the quantile on a 512-step grid of
+z = Phi^-1(p), interpolated in z by cubic Hermite with the exact slope
+and across nu by barycentric interpolation on 32 Chebyshev nodes in
+1 / nu, which cover every nu > 2.  Its relative error is below 1e-9.  The
+h-functions, their inverses and the nu profile of the fit read the
+table; the t CDF (``special.stdtr``) stays exact, and so does the
+log-likelihood a Student-t fit reports for its winner, which takes its
+quantiles from ``special.stdtrit``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +132,8 @@ def _validate_params(family, params):
         raise DomainError(
             f"{family} expects {_N_PARAMS[family]} parameter(s), got {len(params)}"
         )
+    if not all(np.isfinite(params)):
+        raise DomainError(f"{family} parameters must be finite, got {params}")
     if family in ("gaussian", "studentt"):
         rho = params[0]
         if not -1.0 < rho < 1.0:
@@ -187,22 +201,118 @@ def _t_logpdf_quant(x, y, rho, nu):
 
 
 def _t_logpdf_base(u, v, rho, nu):
+    # exact quantiles: the reported loglik of a Student-t fit is this sum
     return _t_logpdf_quant(
         special.stdtrit(nu, u), special.stdtrit(nu, v), rho, nu
     )
 
 
+# Student-t quantiles from one table of y = asinh(t_nu^-1(Phi(z))): a
+# uniform grid of _T_STEPS cells from z = 0 down to _T_Z_LO, times _T_NODES
+# Chebyshev nodes in s = 1 / nu over [0, 1/2].  The node s = 0 is the
+# Gaussian limit x = z and s = 1/2 is nu = 2, so every nu > 2 lies inside.
+# The odd symmetry x(-z) = -x(z) serves z > 0, and the grid starts at
+# z = 0 so that p = 1/2 gives x = 0 exactly.  Phi(_T_Z_LO) ~ 1e-17 < EPS.
+_T_Z_LO = -8.5
+_T_STEPS = 512
+_T_NODES = 32
+_T_STEP = _T_Z_LO / _T_STEPS
+_T_CHUNK = 1 << 14
+
+
+@functools.cache
+def _t_table():
+    """The nodes in s, their barycentric weights, and y and step * dy/dz at each node.
+
+    Built once per process from ``special.stdtrit``, with the exact slope
+    dx/dz = phi(z) / f_nu(x).  The last array has shape (_T_NODES, 2, _T_STEPS + 1).
+    """
+    z = _T_STEP * np.arange(_T_STEPS + 1)
+    k = np.arange(_T_NODES)
+    nodes = 0.25 * (1.0 - np.cos(np.pi * k / (_T_NODES - 1)))
+    weights = (-1.0) ** k
+    weights[[0, -1]] *= 0.5
+    nu = 1.0 / nodes[1:, None]
+    x = np.vstack([z, special.stdtrit(nu, special.ndtr(z))])
+    log_phi = -0.5 * (z * z + np.log(2.0 * np.pi))
+    log_f = np.vstack(
+        [
+            log_phi,
+            special.gammaln((nu + 1.0) / 2.0)
+            - special.gammaln(nu / 2.0)
+            - 0.5 * np.log(np.pi * nu)
+            - (nu + 1.0) / 2.0 * np.log1p(x[1:] * x[1:] / nu),
+        ]
+    )
+    slope = _T_STEP * np.exp(log_phi - log_f) / np.hypot(1.0, x)
+    table = (nodes, weights, np.stack([np.arcsinh(x), slope], axis=1))
+    for a in table:
+        a.setflags(write=False)  # every caller shares these arrays
+    return table
+
+
+def _t_cells(nu):
+    """Cubic Hermite coefficients of y in each grid cell, one row per entry of ``nu``.
+
+    Barycentric interpolation in s = 1 / nu collapses the table to one row
+    per nu.  Returns c of shape (4, k, _T_STEPS): at offset f in [0, 1] of
+    cell j, y = c0 + f (c1 + f (c2 + f c3)).
+    """
+    nodes, weights, values = _t_table()
+    diff = 1.0 / np.reshape(nu, (-1, 1)) - nodes
+    on_node = diff == 0.0
+    with np.errstate(divide="ignore"):
+        lam = np.where(on_node.any(axis=1, keepdims=True), on_node, weights / diff)
+    lam /= lam.sum(axis=1, keepdims=True)
+    # einsum sums the nodes in order, so no row depends on BLAS threading
+    y, d = np.einsum("kn,nij->ikj", lam, values)
+    y0, d0, d1 = y[:, :-1], d[:, :-1], d[:, 1:]
+    dy = np.diff(y, axis=1)
+    return np.stack([y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+
+
+def _t_positions(p):
+    """z = Phi^-1(p) and the grid cell and offset of -|z|, for a 1-d p in [EPS, 1 - EPS]."""
+    z = special.ndtri(p)
+    frac = np.abs(z) / -_T_STEP
+    cell = np.minimum(frac.astype(np.intp), _T_STEPS - 1)
+    frac -= cell
+    return z, cell, frac
+
+
+def _t_evaluate(cells, positions):
+    """The quantiles at ``positions`` for each row of ``cells``, shape (k, n)."""
+    z, cell, frac = positions
+    y = cells[3][:, cell]
+    for c in cells[2::-1]:
+        y *= frac
+        y += c[:, cell]
+    return np.copysign(np.sinh(y, out=y), z, out=y)
+
+
+def _t_quantile(nu, p):
+    """t_nu^-1(p) from the table, for one nu > 2 and p in [EPS, 1 - EPS]."""
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
+    cells = _t_cells(nu)
+    out = np.empty_like(flat)
+    # chunks keep the temporaries of a long draw small
+    for lo in range(0, flat.size, _T_CHUNK):
+        out[lo : lo + _T_CHUNK] = _t_evaluate(cells, _t_positions(flat[lo : lo + _T_CHUNK]))[0]
+    return out.reshape(p.shape)
+
+
 def _t_hfunc_base(u, v, rho, nu):
-    x = special.stdtrit(nu, u)
-    y = special.stdtrit(nu, v)
+    x = _t_quantile(nu, u)
+    y = _t_quantile(nu, v)
     scale = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
     return special.stdtr(nu + 1.0, (x - rho * y) / scale)
 
 
 def _t_hinv_base(p, v, rho, nu):
-    y = special.stdtrit(nu, v)
+    y = _t_quantile(nu, v)
     scale = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
-    x = special.stdtrit(nu + 1.0, p) * scale + rho * y
+    x = _t_quantile(nu + 1.0, p) * scale + rho * y
     return special.stdtr(nu, x)
 
 
@@ -815,10 +925,14 @@ def _fit_studentt(u, v, tau_init):
     nu_lo, nu_hi = _PARAM_BOUNDS["studentt"][1]
     rho0 = float(np.clip(tau_init, *_PARAM_BOUNDS["studentt"][0]))
     evals = {}  # nu -> (rho, loglik, converged, Newton steps)
+    # the search reads its quantiles from the table; each column's grid
+    # cells and offsets are found once for every nu it evaluates
+    at_u, at_v = _t_positions(u), _t_positions(v)
 
     def profile(nus):
         col = np.reshape(nus, (-1, 1))
-        fit = _t_profile(special.stdtrit(col, u), special.stdtrit(col, v), col, rho0)
+        cells = _t_cells(col)
+        fit = _t_profile(_t_evaluate(cells, at_u), _t_evaluate(cells, at_v), col, rho0)
         evals.update(zip(col[:, 0].tolist(), zip(*(a.tolist() for a in fit))))
         return fit[1]
 
@@ -839,7 +953,9 @@ def _fit_studentt(u, v, tau_init):
         )
     # the best point evaluated on the grid, by the inward step or by Brent
     nu_hat = max(evals, key=lambda nu: evals[nu][1])
-    rho_hat, loglik, ok, _ = evals[nu_hat]
+    rho_hat, _, ok, _ = evals[nu_hat]
+    # the winner's reported loglik is exact
+    loglik = float(np.sum(_t_logpdf_base(u, v, rho_hat, nu_hat)))
     diagnostics = {
         "nu_evals": len(evals),
         "newton_iters": sum(e[3] for e in evals.values()),

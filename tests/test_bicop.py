@@ -558,6 +558,58 @@ def test_unconverged_t_profile_raises_optimization_error(monkeypatch):
     assert -1.0 < rho < 1.0 and 2.1 <= nu <= 30.0
 
 
+def _table_nus():
+    """nu at every Chebyshev node of the table but s = 0, and midway between neighbours."""
+    s = bicop._t_table()[0]
+    return [*(1.0 / s[1:]), *(2.0 / (s[1:-1] + s[2:]))]
+
+
+# p from EPS to 1 - EPS, dense in both tails, with 0.5 and one ulp either
+# side; more values than one chunk of a long evaluation
+QUANTILE_PS = np.unique(
+    np.concatenate(
+        [
+            np.geomspace(EPS, 0.5, 10001),
+            1.0 - np.geomspace(EPS, 0.5, 10001),
+            [EPS, 1.0 - EPS, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)],
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "nu", [2.0 + 1e-9, 2.1, 30.0, 31.0, 1e4, *_table_nus()], ids=lambda nu: f"{nu:.6g}"
+)
+def test_t_quantile_matches_stdtrit(nu):
+    # |dx| / max(|x|, 1) <= 1e-9: cubic Hermite on 512 z steps, 32 nodes in 1 / nu
+    assert QUANTILE_PS.size > bicop._T_CHUNK
+    exact = special.stdtrit(nu, QUANTILE_PS)
+    table = bicop._t_quantile(nu, QUANTILE_PS)
+    assert np.all(np.abs(table - exact) <= 1e-9 * np.maximum(np.abs(exact), 1.0))
+    assert bicop._t_quantile(nu, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("nu", [2.05, 60.0, 1e4])
+def test_studentt_h_functions_off_the_fit_bounds_match_exact_quantiles(nu):
+    # nu outside [2.1, 30] is never fitted, but a stored model may hold it
+    rho = 0.7
+    cop = make("studentt", 0, (rho, nu))
+    p, w = np.meshgrid(np.geomspace(1e-9, 1.0 - 1e-9, 41), np.linspace(1e-6, 1.0 - 1e-6, 41))
+    p, w = p.ravel(), w.ravel()
+    y = special.stdtrit(nu, w)
+    scale = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
+    exact_h = special.stdtr(nu + 1.0, (special.stdtrit(nu, p) - rho * y) / scale)
+    exact_hinv = special.stdtr(nu, special.stdtrit(nu + 1.0, p) * scale + rho * y)
+
+    u = bicop.hinv(cop, p, w)
+    assert_allclose(u, np.clip(exact_hinv, EPS, 1.0 - EPS), rtol=1e-8, atol=1e-12)
+    assert_allclose(bicop.hfunc(cop, p, w), exact_h, rtol=1e-8, atol=1e-12)
+    # where hinv's clip to [EPS, 1 - EPS] does not bind, hfunc undoes it
+    inside = (u > EPS) & (u < 1.0 - EPS)
+    assert inside.mean() > 0.9
+    assert_allclose(bicop.hfunc(cop, u[inside], w[inside]), p[inside], rtol=1e-8, atol=1e-12)
+
+
 ONE_PARAM_DATA = {
     "gaussian": make("gaussian", 0, (0.5,)),
     "clayton": make("clayton", 0, (2.0,)),
@@ -744,3 +796,25 @@ def test_domain_errors():
         copula_oracle.cdf(cop, 1.2, 0.5)
     with pytest.raises(DomainError):
         bicop.hfunc(cop, 0.5, 0.5, margin=3)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("studentt", (0.5, np.inf)),
+        ("studentt", (0.5, np.nan)),
+        ("gaussian", (np.nan,)),
+        ("clayton", (np.inf,)),
+        ("gumbel", (np.inf,)),
+        ("frank", (np.inf,)),
+        ("frank", (-np.inf,)),
+        ("frank", (np.nan,)),
+    ],
+    ids=str,
+)
+def test_non_finite_parameters_are_refused(family, params):
+    # h-functions of such a copula would return NaN
+    with pytest.raises(DomainError):
+        make(family, 0, params)
+    with pytest.raises(DomainError):
+        BivariateCopula.from_json_dict({"family": family, "rotation": 0, "params": list(params)})

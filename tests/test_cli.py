@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +405,27 @@ class TestSimulate:
         assert code == 1
         assert err["code"] == "config"
         assert "nope.json" in err["location"]
+
+    def test_non_finite_copula_parameter_is_refused(self, data_csv, tmp_path, capsys):
+        # json.load reads Infinity, from which simulate would draw a NaN column
+        code, out, _ = invoke(
+            ["fit-vine", "--data", data_csv, "--hour", "3", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(Path(out["artifacts"]["vine"]).read_text())
+        report["vine"]["trees"][0][0]["copula"] = {
+            "family": "studentt", "rotation": 0, "params": [0.5, float("inf")]
+        }
+        model = tmp_path / "infinite.json"
+        model.write_text(json.dumps(report))
+        assert "Infinity" in model.read_text()
+        code, _, err = invoke(
+            ["simulate", "--model", str(model), "--out", str(tmp_path / "sim")], capsys
+        )
+        assert code == 1
+        assert err["code"] == "domain"
+        assert not (tmp_path / "sim" / "simulated_u.csv").exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -1,5 +1,7 @@
 import itertools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -430,6 +432,23 @@ class TestSimulate:
         assert not np.array_equal(a, vine.simulate(model, 2000, seed=10))
         # a shorter draw with the same seed is a prefix of the longer one
         assert np.array_equal(vine.simulate(model, 700, seed=9), a[:700])
+
+    def test_studentt_draw_is_the_same_in_a_spawned_process(self):
+        # each process builds its own Student-t quantile table on first use
+        edges1 = (VineEdge((0, 1)), VineEdge((0, 2)))
+        tree2 = (VineEdge((1, 2), (0,)),)
+        model = manual_model(
+            (edges1, tree2),
+            {
+                edges1[0]: BivariateCopula("studentt", 0, (0.6, 4.5)),
+                edges1[1]: BivariateCopula("gumbel", 0, (1.5,)),
+                tree2[0]: BivariateCopula("studentt", 0, (-0.3, 12.0)),
+            },
+        )
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            remote = pool.submit(vine.simulate, model, 5000, seed=3).result(timeout=300)
+        assert np.array_equal(remote, vine.simulate(model, 5000, seed=3))
 
     def test_output_in_open_unit_cube(self):
         model = embedded_pair_model(BivariateCopula("gumbel", 180, (3.0,)))
