@@ -14,10 +14,11 @@ keyed by its dest (``window_days`` for ``--window``): the value goes
 through its flag's converter and choices and becomes the parser's
 default, so explicit flags win, and integer options reject 70.9 and
 true.  Its other ``AnalysisConfig`` fields (Monte Carlo sizes, grids,
-``scenarios``) reach the analysis as they are.  Failures surface as one JSON
-object on stderr with the shape {code, message, location?} and exit
-status 1, a config value its flag rejects located at the file; usage
-problems, a bad flag value among them, exit with status 2.
+``scenarios``) reach the analysis as they are; any other key is a config
+error.  Failures surface as one JSON object on stderr with the shape
+{code, message, location?} and exit status 1, a config value its flag
+rejects or a key it does not know located at the file; usage problems, a
+bad flag value among them, exit with status 2.
 """
 
 from __future__ import annotations
@@ -298,12 +299,20 @@ def _load_json_file(path, what):
         raise ConfigError(f"{what} file is not valid JSON: {exc}", location=path) from None
 
 
-def _load_config_file(path):
+def _load_config_file(path, parser):
+    """The config file's object, every key an ``AnalysisConfig`` field or
+    the dest of a flag that some verb of ``parser`` lets a config preset."""
     if path is None:
         return {}
     data = _load_json_file(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a flat JSON object", location=path)
+    known = set(AnalysisConfig.__dataclass_fields__).union(
+        action.dest for verb in verb_parsers(parser).values() for action in verb._actions
+    ) - set(_UNPRESET_DESTS)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}", location=path)
     return data
 
 
@@ -505,6 +514,10 @@ def _cmd_simulate(args):
         raise ConfigError(
             "model file does not hold a vine model", location=args.model
         ) from None
+    except PowerdepError as exc:
+        # a bad copula parameter or structure keeps its code, at the file
+        exc.location = args.model
+        raise
     u = vine.simulate(model, args.n, seed=args.seed)
     columns = [f"u{j}" for j in range(u.shape[1])]
     text = pipeline.render_csv((dict(zip(columns, row)) for row in u), columns)
@@ -644,7 +657,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         # config values become the verb's defaults, so a flag still wins
-        cfg = _load_config_file(args.config)
+        cfg = _load_config_file(args.config, parser)
         verb = verb_parsers(parser)[args.verb]
         verb.set_defaults(**_flag_presets(verb, cfg, args.config))
         args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Hourly panel ingestion, calendar dummies, and clock-change repair.
+"""Hourly panel ingestion, the calendar dummy matrix, and clock-change repair.
 
 CSV files hold one row per (date, hour) with price, demand, wind and solar
 columns.  Preprocessing enforces exactly 24 rows per calendar day: an
@@ -29,12 +29,6 @@ VARIABLES = ("price", "demand", "wind", "solar")
 
 SOLAR_HOURS = range(8, 17)
 
-DUMMY_NAMES = (
-    "jan", "feb", "mar", "apr", "may", "jun",
-    "jul", "aug", "sep", "oct", "nov", "dec",
-    "sat", "sun",
-)
-
 
 @dataclass(frozen=True)
 class RawHourlyRecord:
@@ -47,21 +41,6 @@ class RawHourlyRecord:
 
     def value(self, variable):
         return getattr(self, variable)
-
-
-@dataclass(frozen=True)
-class CalendarDummies:
-    """T x 14 indicator matrix: twelve months, then Saturday and Sunday."""
-
-    matrix: np.ndarray
-    names: tuple = DUMMY_NAMES
-    dates: tuple = ()
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[1] != len(self.names):
-            raise DomainError("dummy matrix must have one column per name")
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass
@@ -97,10 +76,6 @@ class HourlyPanel:
                 raise DomainError(
                     f"panel dates must be consecutive days; gap after {prev}"
                 )
-
-    @property
-    def n_vars(self):
-        return len(self.variable_names)
 
     def column(self, variable):
         return self.values[:, self.variable_names.index(variable)]
@@ -284,8 +259,9 @@ def fix_clock_changes(records, collect=None):
 def build_dummies(dates):
     """Month and weekend indicator matrix for a date vector.
 
-    Columns are Jan..Dec then Saturday and Sunday; every row has exactly
-    one month flag, plus at most one weekend flag.
+    Returns a (T, 14) float array: columns Jan..Dec then Saturday and
+    Sunday.  Every row has exactly one month flag, plus at most one
+    weekend flag.
     """
     dates = tuple(dates)
     if not dates:
@@ -298,7 +274,7 @@ def build_dummies(dates):
             mat[i, 12] = 1.0
         elif weekday == 6:
             mat[i, 13] = 1.0
-    return CalendarDummies(matrix=mat, names=DUMMY_NAMES, dates=dates)
+    return mat
 
 
 def slice_hour(records, hour):

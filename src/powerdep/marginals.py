@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 from scipy.signal import lfilter
 
 from .bicop import EPS
@@ -87,9 +87,8 @@ class MarginalSpec:
 class MarginalFit:
     """Fitted AR-GARCH marginal.
 
-    ``sigma2_path``, ``residuals`` (standardized) and ``pseudo_obs`` all
-    have length ``T - max_lag``; the first ``max_lag`` observations only
-    feed the lagged regressors.
+    ``residuals`` (standardized) has length ``T - max_lag``; the first
+    ``max_lag`` observations only feed the lagged regressors.
     """
 
     spec: MarginalSpec
@@ -98,9 +97,7 @@ class MarginalFit:
     omega: float
     alpha: float
     beta: float
-    sigma2_path: np.ndarray
     residuals: np.ndarray
-    pseudo_obs: np.ndarray
     loglik: float
     converged: bool
     n_iter: int
@@ -136,8 +133,7 @@ def _dummy_matrix(dummies, n_expected, length):
         return np.zeros((length, 0))
     if dummies is None:
         raise DomainError("dummies are required when the spec declares dummy columns")
-    mat = getattr(dummies, "matrix", dummies)
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.asarray(dummies, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != n_expected:
         raise DomainError(
             f"dummy matrix must have {n_expected} columns, got shape {mat.shape}"
@@ -248,7 +244,7 @@ def fit_ar_garch(series, dummies, spec):
     ----------
     series : array_like, shape (T,)
         Daily observations of one variable at a fixed hour.
-    dummies : CalendarDummies or array_like or None
+    dummies : array_like or None
         Dummy matrix aligned with ``series`` (``spec.n_dummies`` columns).
     spec : MarginalSpec
 
@@ -312,38 +308,26 @@ def fit_ar_garch(series, dummies, spec):
     eps, sigma2, _ = _garch_filter(design, target, mean, omega, alpha, beta)
     eta = eps / np.sqrt(sigma2)
     boundary = bool(alpha + beta > 1.0 - _STATIONARITY_GAP - 1e-4)
-    fit = MarginalFit(
+    return MarginalFit(
         spec=spec,
         phi=mean[: len(spec.lag_set)].copy(),
         psi=mean[len(spec.lag_set) :].copy(),
         omega=float(omega),
         alpha=float(alpha),
         beta=float(beta),
-        sigma2_path=sigma2,
         residuals=eta,
-        pseudo_obs=pit_transform(eta, mode="gaussian"),
         loglik=-float(res.fun),
         converged=bool(res.success),
         n_iter=int(res.nit),
         boundary=boundary,
         diagnostics={"t_eff": t_eff, "message": str(res.message)},
     )
-    return fit
 
 
-def pit_transform(residuals, mode="gaussian"):
-    """Probability integral transform of standardized residuals.
-
-    ``mode="gaussian"`` maps through the standard normal CDF; ``mode="rank"``
-    uses ranks scaled by (T + 1).  Output lies strictly inside (0, 1).
-    """
-    eta = np.asarray(residuals, dtype=np.float64)
-    if mode == "gaussian":
-        u = special.ndtr(eta)
-    elif mode == "rank":
-        u = stats.rankdata(eta, method="average") / (eta.size + 1.0)
-    else:
-        raise DomainError(f"unknown PIT mode {mode!r}")
+def pit_transform(residuals):
+    """Probability integral transform of standardized residuals: the
+    standard normal CDF, clipped to [EPS, 1 - EPS] inside (0, 1)."""
+    u = special.ndtr(np.asarray(residuals, dtype=np.float64))
     return np.clip(u, EPS, 1.0 - EPS)
 
 
@@ -354,7 +338,7 @@ def simulate_ar_garch(fit, dummies, horizon, seed, shocks=None):
     ----------
     fit : MarginalFit
         Only the parameter fields and spec are used.
-    dummies : CalendarDummies or array_like or None
+    dummies : array_like or None
         Rows 0..horizon-1 drive the dummy terms of the emitted stretch.
     horizon : int
     seed : int or numpy.random.SeedSequence
@@ -417,9 +401,7 @@ def build_fit_from_params(spec, phi, psi, omega, alpha, beta):
         omega=float(omega),
         alpha=float(alpha),
         beta=float(beta),
-        sigma2_path=np.empty(0),
         residuals=np.empty(0),
-        pseudo_obs=np.empty(0),
         loglik=float("nan"),
         converged=True,
         n_iter=0,

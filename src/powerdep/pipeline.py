@@ -49,10 +49,9 @@ import numpy as np
 import scipy
 
 from . import taildep, vine
-from .bicop import DEFAULT_CANDIDATES, FAMILIES, ROTATIONS
 from .data_ingest import SOLAR_HOURS, build_dummies, HourlyPanel
 from .errors import ConfigError, DomainError, PowerdepError
-from .marginals import MarginalSpec, fit_ar_garch
+from .marginals import MarginalSpec, fit_ar_garch, pit_transform
 
 # purpose codes of the rolling study's child seeds; fixed forever for
 # reproducibility (codes 1-4 are retired and never reused)
@@ -155,15 +154,6 @@ def _items(rule):
     return read
 
 
-def _candidate(pair):
-    """A (family, rotation) pair of ``bicop.FAMILIES`` and ``bicop.ROTATIONS``."""
-    family, rotation = pair
-    rotation = integer(rotation)
-    if family not in FAMILIES or rotation not in ROTATIONS:
-        raise ValueError(f"no pair-copula {family!r} at rotation {rotation}")
-    return str(family), rotation
-
-
 # how AnalysisConfig reads each field; a rule that raises TypeError or
 # ValueError makes the value unreadable
 _RULES = {
@@ -171,8 +161,6 @@ _RULES = {
     **dict.fromkeys(_INTEGER_FLOORS, integer),
     **dict.fromkeys(("alpha", "beta"), number),
     **dict.fromkeys(("alpha_grid", "tdc_grid"), _items(number)),
-    "indep_test": lambda level: None if level is None else number(level),
-    "candidates": _items(_candidate),
     "scenarios": _items(_pattern),  # a bad pattern fails at config time
 }
 
@@ -203,8 +191,6 @@ class AnalysisConfig:
     n_mc_scenario: int = 20_000
     n_mc_rolling: int = 20_000
     seed: int = 0
-    indep_test: float | None = vine.INDEP_TEST_LEVEL
-    candidates: tuple = DEFAULT_CANDIDATES
     scenarios: tuple = DEFAULT_SCENARIOS
     jobs: int = 1
 
@@ -321,9 +307,6 @@ class GlobalRunResult:
     results: tuple
     failures: tuple
 
-    def by_hour(self):
-        return {res.hour: res for res in self.results}
-
 
 @dataclass(frozen=True)
 class RollingResult:
@@ -381,19 +364,17 @@ def fit_hour(panel, config):
     """Marginal fits of one panel and the vine fitted to their residuals.
 
     Variables lose their first ``max_lag`` rows to the autoregression;
-    pseudo-observation columns are truncated to the largest loss so
-    every row the vine sees refers to the same date.  Returns
-    ``(fits, model)`` with the fits keyed by variable name.
+    residual columns are truncated to the largest loss so every row the
+    vine sees refers to the same date, and that matrix goes through
+    ``pit_transform`` once.  Returns ``(fits, model)`` with the fits
+    keyed by variable name.
     """
     fits = fit_marginals(panel)
     common = max(fit.spec.max_lag for fit in fits.values())
-    pseudo = np.column_stack(
-        [fit.pseudo_obs[common - fit.spec.max_lag :] for fit in fits.values()]
+    residuals = np.column_stack(
+        [fit.residuals[common - fit.spec.max_lag :] for fit in fits.values()]
     )
-    model = vine.fit_auto(
-        pseudo, candidates=config.candidates, indep_test=config.indep_test
-    )
-    return fits, model
+    return fits, vine.fit_auto(pit_transform(residuals))
 
 
 def _scenario_patterns_for(config, names):

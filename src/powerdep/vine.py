@@ -4,8 +4,9 @@ Tree 1 is the maximum spanning tree on the variables under the weight
 |empirical Kendall tau|; deeper trees repeat the construction on
 h-function transformed observations among edges allowed by the proximity
 condition (the greedy sequential method of Dissmann et al.).  Each edge
-carries one bivariate copula chosen by AIC, with the simplifying
-assumption throughout.
+carries one bivariate copula chosen by AIC among
+``bicop.DEFAULT_CANDIDATES`` behind a Kendall tau independence pre-test
+at ``INDEP_TEST_LEVEL``, with the simplifying assumption throughout.
 
 Fitting and simulation read F(v | D), the conditional distribution of v
 given the set D, from one memoised accessor: it applies
@@ -281,18 +282,17 @@ class _Streams:
 INDEP_TEST_LEVEL = 0.01
 
 
-def _fit_edge(u_x, u_y, test, candidates, indep_level):
+def _fit_edge(u_x, u_y, test):
     """AIC family selection behind a Kendall tau independence pre-test.
 
     ``test`` is ``stats.kendalltau(u_x, u_y)``.  When it cannot reject
-    independence at ``indep_level`` the independence copula is the one
-    candidate, as in the standard sequential vine toolchain; pass
-    ``indep_level=None`` for pure AIC selection.
+    independence at ``INDEP_TEST_LEVEL`` the independence copula is the
+    one candidate, as in the standard sequential vine toolchain; else the
+    candidates are ``bicop.DEFAULT_CANDIDATES``.
     """
-    if indep_level is not None:
-        p_value = 1.0 if np.isnan(test.pvalue) else float(test.pvalue)
-        if p_value > indep_level:
-            candidates = (("independence", 0),)
+    p_value = 1.0 if np.isnan(test.pvalue) else float(test.pvalue)
+    independent = p_value > INDEP_TEST_LEVEL
+    candidates = (("independence", 0),) if independent else DEFAULT_CANDIDATES
     # every candidate fit reads the test's tau
     sel = select_family_aic(
         np.column_stack([u_x, u_y]), candidates, tau=test.statistic
@@ -305,13 +305,12 @@ def _fit_edge(u_x, u_y, test, candidates, indep_level):
         "rotation": best.copula.rotation,
         "warnings": list(sel.warnings),
         "boundary": best.boundary,
+        "indep_test_p": p_value,
     }
-    if indep_level is not None:
-        meta["indep_test_p"] = p_value
     return best.copula, meta
 
 
-def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
+def _run_vine(u):
     """Select the structure tree by tree and fit each tree's pair copulas.
 
     Each tree is the greedy maximum spanning tree under |Kendall tau| on
@@ -350,7 +349,7 @@ def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
             if set(chosen[p][1:]) & set(chosen[q][1:])
         ]
         for edge in tree:
-            cop, meta = _fit_edge(*stream.pair(edge), tests[edge], candidates, indep_level)
+            cop, meta = _fit_edge(*stream.pair(edge), tests[edge])
             stream.add(edge, cop)
             fit_meta[edge] = meta
         trees.append(tree)
@@ -366,12 +365,12 @@ def _run_vine(u, candidates, indep_level=INDEP_TEST_LEVEL):
     )
 
 
-def fit_auto(pseudo_obs, candidates=DEFAULT_CANDIDATES, indep_test=INDEP_TEST_LEVEL):
+def fit_auto(pseudo_obs):
     """Select the structure and fit pair copulas in one pass."""
     u = _check_columns(pseudo_obs)
     if u.shape[1] not in (3, 4):
         raise DomainError(f"need 3 or 4 variables, got {u.shape[1]}")
-    return _run_vine(u, candidates, indep_level=indep_test)
+    return _run_vine(u)
 
 
 def _sampling_chain(edges, var, sampled):

@@ -371,6 +371,14 @@ class TestRoll:
         assert reports[0] == reports[1]
 
 
+@pytest.fixture(scope="module")
+def fitted_vine_report(data_csv, workdir):
+    """The JSON report ``fit-vine`` writes for hour 3."""
+    out = workdir / "fitted_vine"
+    assert cli.main(["fit-vine", "--data", data_csv, "--hour", "3", "--out", str(out)]) == 0
+    return json.loads((out / "vine_hour_03.json").read_text())
+
+
 class TestSimulate:
     def test_simulate_from_stored_model(self, data_csv, tmp_path, capsys):
         code, out, _ = invoke(
@@ -425,6 +433,38 @@ class TestSimulate:
         )
         assert code == 1
         assert err["code"] == "domain"
+        assert not (tmp_path / "sim" / "simulated_u.csv").exists()
+
+    @pytest.mark.parametrize(
+        "breakage, expected",
+        [("nu-infinite", "domain"), ("rho-out-of-range", "domain"),
+         ("no-proximity-match", "structure")],
+    )
+    def test_bad_vine_model_is_reported_at_the_model_file(
+        self, fitted_vine_report, breakage, expected, tmp_path, capsys
+    ):
+        report = json.loads(json.dumps(fitted_vine_report))
+        trees = report["vine"]["trees"]
+        if breakage == "nu-infinite":
+            trees[0][0]["copula"] = {
+                "family": "studentt", "rotation": 0, "params": [0.5, float("inf")]
+            }
+        elif breakage == "rho-out-of-range":
+            trees[0][0]["copula"] = {"family": "gaussian", "rotation": 0, "params": [1.5]}
+        else:
+            # (x, y | z) becomes (x, z | y): y is not the node that tree 1's
+            # two edges share
+            edge = trees[1][0]
+            (x, y), (z,) = edge["conditioned"], edge["conditioning"]
+            edge["conditioned"], edge["conditioning"] = [x, z], [y]
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(report))
+        code, _, err = invoke(
+            ["simulate", "--model", str(model), "--out", str(tmp_path / "sim")], capsys
+        )
+        assert code == 1
+        assert err["code"] == expected
+        assert err["location"] == str(model)
         assert not (tmp_path / "sim" / "simulated_u.csv").exists()
 
     @pytest.mark.parametrize(
@@ -558,6 +598,41 @@ class TestCliContract:
         )
         assert code == 1
         assert err["code"] == "config"
+
+    # the vine's candidate set and pre-test are fixed, a misspelt field
+    # would be dropped unseen, and --pattern takes no preset
+    @pytest.mark.parametrize(
+        "key, value",
+        [("candidates", [["gaussian", 0]]), ("indep_test", 0.05),
+         ("n_mc_spearmann", 20000), ("pattern", "HL")],
+    )
+    def test_unknown_config_key_is_a_config_error_at_the_file(
+        self, key, value, data_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_mc_lambda": 2000, key: value}))
+        out = tmp_path / "out"
+        code, _, err = invoke(
+            ["tail", "--data", data_csv, "--hour", "3", "--config", str(cfg),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err["code"] == "config"
+        assert err["location"] == str(cfg)
+        assert err["message"] == f"unknown config keys: ['{key}']"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_config_key_of_another_verb_is_accepted(self, data_csv, tmp_path, capsys):
+        # one config file can serve every verb
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"days": 100, "flavor": "clayton", "n": 500}))
+        code, _, _ = invoke(
+            ["fit-vine", "--data", data_csv, "--hour", "3", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("verb", ["fit-vine", "tail"])
     @pytest.mark.parametrize(

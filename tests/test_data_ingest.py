@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from powerdep.data_ingest import (
-    CalendarDummies,
     HourlyPanel,
     RawHourlyRecord,
     build_dummies,
@@ -224,20 +223,18 @@ class TestFixClockChanges:
 
 class TestBuildDummies:
     def test_wednesday_in_march(self):
-        dummies = build_dummies([datetime.date(2019, 3, 13)])
-        row = dummies.matrix[0]
+        row = build_dummies([datetime.date(2019, 3, 13)])[0]
         assert row[2] == 1.0
         assert row.sum() == 1.0
 
     def test_saturday_in_december(self):
-        dummies = build_dummies([datetime.date(2019, 12, 7)])
-        row = dummies.matrix[0]
+        row = build_dummies([datetime.date(2019, 12, 7)])[0]
         assert row[11] == 1.0
         assert row[12] == 1.0
         assert row.sum() == 2.0
 
     def test_sunday_flag(self):
-        row = build_dummies([datetime.date(2019, 12, 8)]).matrix[0]
+        row = build_dummies([datetime.date(2019, 12, 8)])[0]
         assert row[13] == 1.0
         assert row[12] == 0.0
 
@@ -245,21 +242,21 @@ class TestBuildDummies:
         start = datetime.date(2019, 1, 1)
         dates = [start + datetime.timedelta(days=k) for k in range(365)]
         dummies = build_dummies(dates)
-        sums = dummies.matrix.sum(axis=0)
+        sums = dummies.sum(axis=0)
         month_days = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
         assert_allclose(sums[:12], month_days)
         weekend = sum(1 for d in dates if d.weekday() >= 5)
         assert sums[12] + sums[13] == weekend
-        row_sums = dummies.matrix.sum(axis=1)
+        row_sums = dummies.sum(axis=1)
         assert set(row_sums.tolist()) <= {1.0, 2.0}
 
-    def test_column_order_names(self):
-        dummies = build_dummies([datetime.date(2020, 7, 4)])
-        assert dummies.names == (
-            "jan", "feb", "mar", "apr", "may", "jun",
-            "jul", "aug", "sep", "oct", "nov", "dec",
-            "sat", "sun",
-        )
+    def test_one_float_row_per_date_and_fourteen_columns(self):
+        # Saturday 4 July 2020: the July column, then the Saturday one
+        dummies = build_dummies([datetime.date(2020, 7, 4), datetime.date(2020, 7, 5)])
+        assert isinstance(dummies, np.ndarray)
+        assert dummies.shape == (2, 14) and dummies.dtype == np.float64
+        assert np.flatnonzero(dummies[0]).tolist() == [6, 12]
+        assert np.flatnonzero(dummies[1]).tolist() == [6, 13]
 
     def test_empty_dates(self):
         with pytest.raises(DomainError):
@@ -269,19 +266,17 @@ class TestBuildDummies:
 class TestSliceHour:
     def test_solar_hour_has_four_variables(self):
         panel = slice_hour(make_records("2019-01-01", 5), 12)
-        assert panel.n_vars == 4
         assert panel.variable_names == ("price", "demand", "wind", "solar")
         assert panel.values.shape == (5, 4)
 
     def test_night_hour_has_three_variables(self):
         panel = slice_hour(make_records("2019-01-01", 5), 3)
-        assert panel.n_vars == 3
         assert panel.variable_names == ("price", "demand", "wind")
 
     @pytest.mark.parametrize("hour", range(24))
     def test_solar_window_boundary(self, hour):
         panel = slice_hour(make_records("2019-01-01", 3), hour)
-        assert (panel.n_vars == 4) == (8 <= hour <= 16)
+        assert (len(panel.variable_names) == 4) == (8 <= hour <= 16)
 
     def test_hour_out_of_range(self):
         recs = make_records("2019-01-01", 2)
@@ -360,7 +355,3 @@ class TestPanelSerialization:
                 values=np.ones((1, 4)),
                 variable_names=("price", "demand", "wind", "solar"),
             )
-
-    def test_dummies_shape_guard(self):
-        with pytest.raises(DomainError):
-            CalendarDummies(matrix=np.ones((3, 5)))

@@ -112,13 +112,11 @@ class TestFit:
         with pytest.raises(DomainError, match="shorter than the maximum lag"):
             ar_garch_loglik(y, None, spec, [0.3, 0.1, 0.05], [], 0.1, 0.05, 0.85)
 
-    def test_residual_length_and_pseudo_obs_range(self):
+    def test_residual_length_drops_the_lagged_rows(self):
         spec = MarginalSpec(lag_set=(1, 2, 7), n_dummies=0)
         y = make_series((0.3, 0.1, 0.05, 0.85), 1200, seed=2, spec=spec)
         fit = fit_ar_garch(y, None, spec)
         assert fit.residuals.size == y.size - 7
-        assert fit.sigma2_path.size == y.size - 7
-        assert np.all(fit.pseudo_obs > 0) and np.all(fit.pseudo_obs < 1)
 
 
 def ar1_series():
@@ -290,24 +288,9 @@ class TestPit:
     def test_gaussian_values(self, eta, expected):
         assert_allclose(pit_transform(np.array([eta]))[0], expected, rtol=1e-12)
 
-    def test_rank_mode(self):
-        assert_allclose(
-            pit_transform(np.array([3.0, -1.0, 0.5]), mode="rank"),
-            [0.75, 0.25, 0.5],
-        )
-
-    def test_rank_mode_is_permutation_of_grid(self):
-        eta = np.random.default_rng(31).standard_normal(57)
-        u = pit_transform(eta, mode="rank")
-        assert_allclose(np.sort(u), np.arange(1, 58) / 58.0)
-
     def test_output_strictly_inside_unit_interval(self):
         u = pit_transform(np.array([-40.0, 0.0, 40.0]))
         assert np.all(u > 0) and np.all(u < 1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            pit_transform(np.zeros(3), mode="ecdf")
 
     @given(st.floats(-6, 6))
     def test_monotone(self, x):

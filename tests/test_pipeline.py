@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from powerdep import cli, pipeline, taildep
+from powerdep.bicop import EPS
 from powerdep.data_ingest import HourlyPanel, slice_hour
 from powerdep.errors import ConfigError, DomainError, SelectionError
+from powerdep.marginals import pit_transform
 from powerdep.pipeline import (
     AnalysisConfig,
     HourlyAnalysisResult,
@@ -33,6 +35,10 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return AnalysisConfig(**base)
+
+
+def by_hour(result):
+    return {res.hour: res for res in result.results}
 
 
 def gaussian_spearman(rho):
@@ -137,11 +143,6 @@ class TestAnalysisConfig:
             {"scenarios": "HLL"},
             {"alpha_grid": "0.1"},
             {"tdc_grid": 0.05},
-            {"candidates": "gaussian"},
-            {"candidates": (("clayton", 90.5),)},
-            {"candidates": (("gaussian", True),)},
-            {"candidates": (("gumbell", 0),)},
-            {"indep_test": "loose"},
             {"tdc_grid": (0.05, 0.05)},
         ],
     )
@@ -187,6 +188,18 @@ class TestAnalysisConfig:
         with pytest.raises(ConfigError):
             AnalysisConfig.from_json_dict(data)
 
+    # the vine's candidate set and independence pre-test are fixed, not
+    # config fields
+    @pytest.mark.parametrize(
+        "data",
+        [{"candidates": [["gaussian", 0]]}, {"indep_test": 0.05}],
+        ids=["candidates", "indep_test"],
+    )
+    def test_vine_model_space_is_not_a_config_key(self, data):
+        (key,) = data
+        with pytest.raises(ConfigError, match=key):
+            AnalysisConfig.from_json_dict(data)
+
 
 class TestRunGlobal:
     def test_hours_sorted_and_complete(self, global_result):
@@ -194,16 +207,16 @@ class TestRunGlobal:
         assert global_result.failures == ()
 
     def test_variable_split_by_hour(self, global_result):
-        by_hour = global_result.by_hour()
-        assert by_hour[3].variable_names == ("price", "demand", "wind")
-        assert by_hour[12].variable_names == ("price", "demand", "wind", "solar")
-        assert by_hour[3].vine_model.structure.n_vars == 3
-        assert by_hour[12].vine_model.structure.n_vars == 4
+        results = by_hour(global_result)
+        assert results[3].variable_names == ("price", "demand", "wind")
+        assert results[12].variable_names == ("price", "demand", "wind", "solar")
+        assert results[3].vine_model.structure.n_vars == 3
+        assert results[12].vine_model.structure.n_vars == 4
 
     def test_spearman_tracks_generator(self, global_result):
         # the synthetic vine couples price to the others with gaussian
         # pair copulas of rho 0.6, -0.4 and -0.3
-        r12 = global_result.by_hour()[12]
+        r12 = by_hour(global_result)[12]
         assert r12.spearman["price~demand"]["estimate"] == pytest.approx(
             gaussian_spearman(0.6), abs=0.09
         )
@@ -213,13 +226,13 @@ class TestRunGlobal:
         assert r12.spearman["price~solar"]["estimate"] == pytest.approx(
             gaussian_spearman(-0.3), abs=0.09
         )
-        r3 = global_result.by_hour()[3]
+        r3 = by_hour(global_result)[3]
         assert r3.spearman["price~demand"]["estimate"] == pytest.approx(
             gaussian_spearman(0.6), abs=0.1
         )
 
     def test_spearman_matrix_is_symmetric_with_unit_diagonal(self, global_result):
-        r12 = global_result.by_hour()[12]
+        r12 = by_hour(global_result)[12]
         mat = np.array(r12.spearman_matrix)
         assert mat.shape == (4, 4)
         np.testing.assert_allclose(mat, mat.T)
@@ -227,10 +240,10 @@ class TestRunGlobal:
         assert mat[0, 1] == r12.spearman["price~demand"]["estimate"]
 
     def test_pairwise_tdc_covers_all_pairs(self, global_result):
-        by_hour = global_result.by_hour()
-        assert len(by_hour[12].pairwise_tdc) == 6
-        assert len(by_hour[3].pairwise_tdc) == 3
-        levels = [lv["t"] for lv in by_hour[12].pairwise_tdc["price~demand"]["levels"]]
+        results = by_hour(global_result)
+        assert len(results[12].pairwise_tdc) == 6
+        assert len(results[3].pairwise_tdc) == 3
+        levels = [lv["t"] for lv in results[12].pairwise_tdc["price~demand"]["levels"]]
         assert levels == sorted(small_config().tdc_grid)
 
     def test_lambda_values_present_and_bounded(self, global_result):
@@ -241,19 +254,19 @@ class TestRunGlobal:
                 assert 0.0 <= lam.extrapolated <= 1.0
 
     def test_scenario_tables(self, global_result):
-        by_hour = global_result.by_hour()
-        assert [row["pattern"] for row in by_hour[12].scenario_table] == [
+        results = by_hour(global_result)
+        assert [row["pattern"] for row in results[12].scenario_table] == [
             "HLL", "HHL", "HLH", "LHH", "LHL",
         ]
         # trivariate hours drop the solar letter and de-duplicate
-        assert [row["pattern"] for row in by_hour[3].scenario_table] == [
+        assert [row["pattern"] for row in results[3].scenario_table] == [
             "HL", "HH", "LH",
         ]
-        for row in by_hour[12].scenario_table:
+        for row in results[12].scenario_table:
             assert row["result"].metadata["pattern"] == row["pattern"]
 
     def test_strong_scenario_dominates_under_positive_coupling(self, global_result):
-        rows = {r["pattern"]: r["result"].value for r in global_result.by_hour()[12].scenario_table}
+        rows = {r["pattern"]: r["result"].value for r in by_hour(global_result)[12].scenario_table}
         # high demand with low wind and solar is the price-spike scenario
         assert rows["HLL"] > rows["LHH"]
 
@@ -295,8 +308,8 @@ class TestRunGlobal:
     def test_parallel_jobs_match_serial(self, panels, global_result):
         res = pipeline.run_global(panels, small_config(jobs=2))
         for hour in (3, 12):
-            a = res.by_hour()[hour]
-            b = global_result.by_hour()[hour]
+            a = by_hour(res)[hour]
+            b = by_hour(global_result)[hour]
             assert a.spearman == b.spearman
             assert [r["result"].value for r in a.scenario_table] == [
                 r["result"].value for r in b.scenario_table
@@ -354,6 +367,27 @@ class TestRunGlobal:
         assert not any(
             "AR-GARCH" in w for res in global_result.results for w in res.warnings
         )
+
+    @pytest.mark.parametrize("hour", [3, 12])
+    def test_vine_sees_the_pit_of_the_date_aligned_residuals(
+        self, panels, hour, monkeypatch
+    ):
+        seen = []
+        real_fit = pipeline.vine.fit_auto
+
+        def spy(pseudo_obs):
+            seen.append(pseudo_obs)
+            return real_fit(pseudo_obs)
+
+        monkeypatch.setattr(pipeline.vine, "fit_auto", spy)
+        fits, _ = pipeline.fit_hour(panels[hour], small_config())
+        (u,) = seen
+        # price loses 7 rows to its lags; every column ends on the last date
+        rows = len(panels[hour].dates) - 7
+        residuals = np.column_stack([fit.residuals[-rows:] for fit in fits.values()])
+        assert u.shape == (rows, len(panels[hour].variable_names))
+        np.testing.assert_array_equal(u, pit_transform(residuals))
+        assert np.all(u >= EPS) and np.all(u <= 1.0 - EPS)
 
     def test_hour_variable_split_enforced_structurally(self):
         with pytest.raises(DomainError):

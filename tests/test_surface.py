@@ -10,7 +10,11 @@ used when one of these holds:
 - its own module names it bare.
 
 A public classmethod is used when ``src/`` or ``perfbench/*.py``
-references it as ``<Class>.<name>``.  README.md documents the library
+references it as ``<Class>.<name>``.  Any other public method or
+property of a ``src/`` class is used when code there reads ``.<name>``
+on anything, so a method named like some other attribute read there
+(``HourlyPanel.n_vars`` and ``VineStructure.n_vars``) escapes the
+check.  README.md documents the library
 and does not count as a use.  A function that only the tests call is a
 test oracle and belongs in ``tests/*_oracle.py``; each public function
 there must be called by some ``tests/test_*.py``.
@@ -25,6 +29,10 @@ TESTS = ROOT / "tests"
 # ROADMAP item 4: the benchmark's (taildep, "cross_weak_counts") layer is
 # reached only through multivariate_pit, which stays until that layer goes
 ALLOWED_UNREFERENCED = {("taildep", "multivariate_pit")}
+
+# ROADMAP item 7: the data-side Kendall check would be the first reader
+# of KendallFunction.evaluate; if that item is dropped, it moves to tests/
+ALLOWED_UNREAD_METHODS = {("KendallFunction", "evaluate")}
 
 
 def public_functions(path):
@@ -50,6 +58,17 @@ def public_classmethods(path):
     ]
 
 
+def public_methods(path):
+    """(class, name) of every public method and property in ``path``."""
+    return [
+        (node.name, item.name)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+
+
 def qualified_references(paths):
     """(owner, name) for every ``owner.name`` and ``from owner import name``.
 
@@ -69,6 +88,16 @@ def qualified_references(paths):
                 owner = node.module.rpartition(".")[2]
                 refs.update((owner, alias.name) for alias in node.names)
     return refs
+
+
+def read_attributes(paths):
+    """Every ``name`` that some ``<expression>.name`` in ``paths`` reads."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
 
 
 def bare_names(path):
@@ -105,6 +134,18 @@ def test_every_public_library_function_is_used():
         ]
         unused += [pair for pair in public_classmethods(path) if pair not in refs]
     assert sorted(set(unused) - ALLOWED_UNREFERENCED) == []
+
+
+def test_every_public_method_is_read():
+    modules = sorted((ROOT / "src" / "powerdep").glob("*.py"))
+    read = read_attributes(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    unread = {
+        (cls, name)
+        for path in modules
+        for cls, name in public_methods(path)
+        if name not in read
+    }
+    assert sorted(unread - ALLOWED_UNREAD_METHODS) == []
 
 
 def test_every_oracle_function_is_called_by_a_test():

@@ -298,8 +298,7 @@ class TestFit:
             analytic = 6.0 / np.pi * np.arcsin(rho / 2.0)
             assert abs(implied - analytic) < 0.04
 
-    @pytest.mark.parametrize("indep_level", [None, vine.INDEP_TEST_LEVEL])
-    def test_edge_computes_kendall_tau_once(self, indep_level, monkeypatch):
+    def test_edge_computes_kendall_tau_once(self, monkeypatch):
         # the edge fit reads the weight pass's test and computes no tau of its own
         u = gaussian_sample(RHO_3D, 400, seed=8)
         test = stats.kendalltau(u[:, 0], u[:, 1])
@@ -312,12 +311,11 @@ class TestFit:
             return kendalltau(*args, **kwargs)
 
         monkeypatch.setattr(stats, "kendalltau", counted)
-        copula, meta = vine._fit_edge(
-            u[:, 0], u[:, 1], test, bicop.DEFAULT_CANDIDATES, indep_level
-        )
+        copula, meta = vine._fit_edge(u[:, 0], u[:, 1], test)
         assert len(calls) == 0
         assert copula == expected
         assert meta["family"] != "independence"
+        assert meta["indep_test_p"] == test.pvalue
 
     def test_fit_computes_one_kendall_tau_per_candidate_pair(self, monkeypatch):
         # three pairs weigh tree 1 and one pair tree 2; the fits reuse them
@@ -357,12 +355,6 @@ class TestFit:
             ]
             hits += all(f == "independence" for f in families)
         assert hits >= 90
-
-    def test_pretest_can_be_disabled(self):
-        u = np.random.default_rng(8).random((500, 3)) * 0.998 + 0.001
-        model = vine.fit_auto(u, indep_test=None)
-        for e in model.structure.all_edges():
-            assert "indep_test_p" not in model.fit_meta[e]
 
     def test_refit_reproduces_strong_families(self):
         clayton = BivariateCopula("clayton", 0, (2.0,))
