@@ -4,7 +4,8 @@ Verbs: ``synth`` writes a coupled AR-GARCH/vine dataset in the ingest
 CSV format, ``ingest`` turns a raw CSV into per-hour panel JSONs,
 ``fit-marginals`` and ``fit-vine`` persist fitted models, ``tail`` and
 ``scenarios`` run the tail studies of one hour, ``roll`` runs the
-sliding-window study, and ``simulate`` draws from a stored vine model.
+sliding-window study, and ``simulate`` draws i.i.d. rows from a stored
+vine model.
 
 Every stochastic step is controlled by ``--seed`` alone; rerunning a
 verb with identical inputs reproduces its artifacts byte for byte.
@@ -140,18 +141,18 @@ def _coupling_vine(flavor, n_vars):
 def _coupled_uniforms(flavor, n_vars, days, seed, hour):
     if flavor == "break":
         half = days // 2
-        early = vine.simulate(
+        early = vine.simulate_iid(
             _coupling_vine("break-early", n_vars),
             half,
             seed=child_seed(seed, hour, _SEED_SYNTH_COPULA),
         )
-        late = vine.simulate(
+        late = vine.simulate_iid(
             _coupling_vine("break-late", n_vars),
             days - half,
             seed=child_seed(seed, hour, _SEED_SYNTH_COPULA_LATE),
         )
         return np.vstack([early, late])
-    return vine.simulate(
+    return vine.simulate_iid(
         _coupling_vine(flavor, n_vars),
         days,
         seed=child_seed(seed, hour, _SEED_SYNTH_COPULA),
@@ -448,8 +449,10 @@ def _cmd_fit_marginals(args):
 
 def _cmd_fit_vine(args):
     panel, _ = _load_panel(args)
-    config = _analysis_config(args, hours=(panel.hour,))
-    fits, model = pipeline.fit_hour(panel, config)
+    # the fit reads no config field, but a config file is checked as for
+    # every verb
+    _analysis_config(args, hours=(panel.hour,))
+    fits, model = pipeline.fit_hour(panel)
     report = {
         "hour": panel.hour,
         "variables": list(panel.variable_names),
@@ -518,7 +521,7 @@ def _cmd_simulate(args):
         # a bad copula parameter or structure keeps its code, at the file
         exc.location = args.model
         raise
-    u = vine.simulate(model, args.n, seed=args.seed)
+    u = vine.simulate_iid(model, args.n, seed=args.seed)
     columns = [f"u{j}" for j in range(u.shape[1])]
     text = pipeline.render_csv((dict(zip(columns, row)) for row in u), columns)
     return _publish(args, {"simulated": ("simulated_u.csv", text)})

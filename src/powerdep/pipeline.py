@@ -21,7 +21,11 @@ randomness flows from the config seed through one child seed per hour
 and one per rolling window: each draws a single vine sample, and every
 measure reads the prefix of its configured Monte Carlo size, price in
 column 0.  So an identical (data, config) pair reproduces the bundle
-byte for byte.
+byte for byte.  The sample is randomized quasi-Monte Carlo
+(``vine.simulate``: 16 randomly shifted copies of one Sobol net), so
+Spearman and the pair tail curves report the spread over those streams
+as their standard error; the binomial standard errors of λ_K and the
+scenarios are conservative for such a sample.
 
 ``config.jobs`` worker processes share the hours of the global study and
 the windows of each rolling hour.  For the length of a study every
@@ -185,11 +189,11 @@ class AnalysisConfig:
     beta: float = 0.05
     alpha_grid: tuple = taildep.DEFAULT_ALPHA_GRID
     tdc_grid: tuple = (0.05, 0.025, 0.01)
-    n_mc_spearman: int = 100_000
+    n_mc_spearman: int = 16_384
     n_mc_tdc: int = 200_000
     n_mc_lambda: int = 40_000
     n_mc_scenario: int = 20_000
-    n_mc_rolling: int = 20_000
+    n_mc_rolling: int = 16_384
     seed: int = 0
     scenarios: tuple = DEFAULT_SCENARIOS
     jobs: int = 1
@@ -360,7 +364,7 @@ def fit_marginals(panel):
     }
 
 
-def fit_hour(panel, config):
+def fit_hour(panel):
     """Marginal fits of one panel and the vine fitted to their residuals.
 
     Variables lose their first ``max_lag`` rows to the autoregression;
@@ -395,7 +399,7 @@ def analyze_hour(panel, config):
     if hour not in config.hours:
         # the config checked its scenario patterns against its hours only
         raise ConfigError(f"hour {hour} is not among the configured hours")
-    fits, model = fit_hour(panel, config)
+    fits, model = fit_hour(panel)
     names = panel.variable_names
     warnings = [
         f"{name}: AR-GARCH fit did not converge: {fit.diagnostics['message']}"
@@ -566,7 +570,7 @@ def _window_panel(panel, start, length):
 
 
 def _model_spearman_all_pairs(panel, config, seed_keys):
-    _, model = fit_hour(panel, config)
+    _, model = fit_hour(panel)
     sample = vine.simulate(
         model, config.n_mc_rolling, seed=child_seed(config.seed, *seed_keys)
     )

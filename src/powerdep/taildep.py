@@ -22,6 +22,11 @@ target variable Y reacts to joint extremes of several drivers:
 
 Both estimators take the target Y in column 0 and X in the columns
 after it, and count every row they are given: the caller picks the rows.
+Their Monte Carlo standard error is binomial, sqrt(q (1 - q) / n) on
+the n conditioning rows, the error of i.i.d. rows.  On a
+``vine.simulate`` draw, randomized quasi-Monte Carlo, it overstates the
+spread of the estimate over seeds (by 1.3 to 2.5 times on fitted
+hours), so it is conservative there.
 
 Everything here is estimated by counting on finite samples; no
 parametric form is assumed for the copula that links W and Y.  The

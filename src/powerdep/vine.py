@@ -17,10 +17,19 @@ unsampled v for which {sampled} | {v}, shrunk by one variable per tree,
 always names an edge with v in its conditioned pair; that chain of edges
 is inverted deepest first.  These orders and chains are the columns of
 the R-vine array of Dissmann et al. (2013), derived rather than stored.
+
+``simulate`` pushes randomized quasi-Monte Carlo points through that
+map: ``N_STREAMS`` independently, randomly digitally shifted copies of
+one Sobol net, interleaved so that row i belongs to stream i mod
+``N_STREAMS``.  Every stream is an unbiased sample of the vine, so the
+measures read their Monte Carlo standard error from the spread over the
+streams (Cambou, Hofert & Lemieux 2017; L'Ecuyer 2018).
+``simulate_iid`` draws i.i.d. uniforms instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -418,11 +427,112 @@ def _simulate_from_uniforms(model, w):
     return np.column_stack([stream.memo[(v, frozenset())] for v in range(n)])
 
 
-def simulate(model, n, seed):
-    """Draw n rows from the vine copula by inverse Rosenblatt transform."""
+#: independently shifted copies of the Sobol net in a ``simulate`` draw;
+#: row i of the draw belongs to stream i mod N_STREAMS
+N_STREAMS = 16
+#: bits of the net's integer coordinates, as ``qmc.Sobol`` gives them
+_NET_BITS = 30
+#: primitive polynomial (bit form) and initial direction numbers of each
+#: Sobol dimension, the first rows of the Joe & Kuo (2008) table that
+#: ``scipy.stats.qmc.Sobol`` reads; held here so a draw does not load the
+#: whole 21201-dimension table into every process
+_SOBOL_DIMENSIONS = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+)
+
+
+def _direction_numbers(poly, initial):
+    """The ``_NET_BITS`` direction numbers of one Sobol dimension, as integers."""
+    degree = poly.bit_length() - 1
+    m = list(initial) if degree else [1] * _NET_BITS
+    for k in range(len(m), _NET_BITS):
+        # m_k = m_{k-s} ^ (m_{k-s} << s) ^ XOR of (a_i m_{k-i} << i), 0 < i < s
+        term = m[k - degree] ^ (m[k - degree] << degree)
+        for i in range(1, degree):
+            if poly >> (degree - i) & 1:
+                term ^= m[k - i] << i
+        m.append(term)
+    return [m[k] << (_NET_BITS - 1 - k) for k in range(_NET_BITS)]
+
+
+@functools.cache
+def _sobol_net(d, k):
+    """The first 2^k points of the unscrambled d-dimensional Sobol sequence.
+
+    Integer coordinates of ``_NET_BITS`` bits in ``qmc.Sobol``'s Gray-code
+    order, built once per (d, k) in each process and read-only.
+    """
+    if d > len(_SOBOL_DIMENSIONS):
+        raise DomainError(
+            f"the Sobol net covers at most {len(_SOBOL_DIMENSIONS)} variables, "
+            f"got {d}; draw i.i.d. rows with simulate_iid"
+        )
+    directions = np.array(
+        [_direction_numbers(*_SOBOL_DIMENSIONS[j]) for j in range(d)], dtype=np.uint32
+    )
+    net = np.zeros((1, d), dtype=np.uint32)
+    for bit in range(k):
+        # Gray-code order: the second half mirrors the first with this bit set
+        net = np.concatenate([net, (net ^ directions[:, bit])[::-1]])
+    net.flags.writeable = False
+    return net
+
+
+def _shifted_net_uniforms(n, d, seed):
+    """n rows of ``N_STREAMS`` randomly digitally shifted copies of one net.
+
+    Stream r shifts every net point by the random ``_NET_BITS``-bit digits
+    ``high[r]`` (XOR) and adds random digits below them, ``low[r]``, so no
+    two streams share a grid and no column repeats a value.  The net is
+    the first ``ceil(n / N_STREAMS)`` points of the Sobol sequence, which
+    extend, so a draw is the prefix of any longer draw with the same seed.
+    """
+    rng = np.random.default_rng(seed)
+    high = rng.integers(0, 2**_NET_BITS, size=(N_STREAMS, d), dtype=np.uint32)
+    low = rng.random((N_STREAMS, d))
+    per_stream = -(-n // N_STREAMS)
+    net = _sobol_net(d, (per_stream - 1).bit_length())
+    w = np.empty((per_stream, N_STREAMS, d))
+    for j in range(d):
+        np.bitwise_xor(
+            net[:per_stream, j, None], high[:, j], out=w[:, :, j], casting="unsafe"
+        )
+    w += low
+    w *= 2.0**-_NET_BITS
+    return w.reshape(-1, d)[:n]
+
+
+def _draw_size(n):
     n = sample_size(n, "n")
     if n <= 0:
         raise DomainError("n must be positive")
+    return n
+
+
+def simulate(model, n, seed):
+    """Draw n rows from the vine copula by inverse Rosenblatt transform.
+
+    The uniforms are ``N_STREAMS`` interleaved, randomly shifted copies of
+    one Sobol net (see ``_shifted_net_uniforms``): row i belongs to stream
+    i mod ``N_STREAMS``, and each stream alone is an unbiased sample.  The
+    net covers up to ``len(_SOBOL_DIMENSIONS)`` variables; a wider vine
+    is refused, and ``simulate_iid`` draws it.
+    """
+    n = _draw_size(n)
+    w = _shifted_net_uniforms(n, model.structure.n_vars, seed)
+    return _simulate_from_uniforms(model, w)
+
+
+def simulate_iid(model, n, seed):
+    """Draw n i.i.d. rows from the vine copula by inverse Rosenblatt transform."""
+    n = _draw_size(n)
     rng = np.random.default_rng(seed)
     w = rng.random((n, model.structure.n_vars))
     return _simulate_from_uniforms(model, w)
@@ -467,24 +577,25 @@ def induced_spearman(sample, n_mc):
     """Model-implied Spearman matrix from the first ``n_mc`` rows of a vine sample.
 
     Returns the estimate matrix and its Monte Carlo standard error
-    matrix, the spread of the estimate over 20 equal batches of
-    ``n_mc // 20`` rows.  Each column of the prefix, and of every batch, is
-    ranked by one argsort: a vine sample is continuous, so its ranks are
-    a permutation of 1..n.  A block in which any column repeats a value
-    (a rounded sample, or clipped stream values) is ranked by
-    ``stats.rankdata`` with average ranks instead, so the matrices equal
-    those of ``stats.rankdata`` ranks whatever the input.
+    matrix, the spread of the estimate over the ``N_STREAMS`` streams of
+    the draw: stream r is rows r, r + N_STREAMS, ... of the first
+    ``N_STREAMS * (n_mc // N_STREAMS)`` rows.  Each column of the prefix,
+    and of every stream, is ranked by one argsort: a vine sample is
+    continuous, so its ranks are a permutation of 1..n.  A block in which
+    any column repeats a value (a rounded sample, or clipped stream
+    values) is ranked by ``stats.rankdata`` with average ranks instead, so
+    the matrices equal those of ``stats.rankdata`` ranks whatever the
+    input.
     """
     n_mc = sample_size(n_mc, "n_mc")
     if n_mc < 10_000:
         raise DomainError("n_mc must be at least 10000")
     u = sample_prefix(sample, n_mc)
     rho = _rank_corr(_ranks(np.ascontiguousarray(u.T)))
-    n_batches = 20
-    size = n_mc // n_batches
-    stacked = u[: n_batches * size].reshape(n_batches, size, u.shape[1])
-    ranks = _ranks(np.ascontiguousarray(stacked.transpose(0, 2, 1)))
-    stderr = np.std([_rank_corr(r) for r in ranks], axis=0, ddof=1) / np.sqrt(n_batches)
+    size = n_mc // N_STREAMS
+    streams = u[: N_STREAMS * size].reshape(size, N_STREAMS, u.shape[1])
+    ranks = _ranks(np.ascontiguousarray(streams.transpose(1, 2, 0)))
+    stderr = np.std([_rank_corr(r) for r in ranks], axis=0, ddof=1) / np.sqrt(N_STREAMS)
     return rho, stderr
 
 
@@ -497,6 +608,9 @@ def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
     reported alongside the per-level values.  Both coordinates are at
     most t exactly when their maximum is, and both exceed 1-t exactly
     when their minimum does, so each level counts on one array per side.
+    Each standard error is the spread of the corner proportion over the
+    ``N_STREAMS`` streams of the draw (stream r is rows r, r + N_STREAMS,
+    ... of the prefix), divided by t.
     """
     grid = sorted(float(t) for t in alpha_grid)
     if not grid or grid[0] <= 0.0 or grid[-1] > 0.1:
@@ -512,17 +626,26 @@ def induced_pair_tdc(sample, pair, alpha_grid, n_mc):
     u = sample_prefix(sample, n_mc)
     ua, ub = u[:, pair[0]], u[:, pair[1]]
     hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
+    # stream r holds rows r, r + N_STREAMS, ... below n_mc
+    stream_rows = (n_mc - np.arange(N_STREAMS) + N_STREAMS - 1) // N_STREAMS
+
+    def corner(mask):
+        # the corner proportion and its stream-spread standard error
+        counts = np.bincount(np.flatnonzero(mask) % N_STREAMS, minlength=N_STREAMS)
+        spread = np.std(counts / stream_rows, ddof=1) / np.sqrt(N_STREAMS)
+        return counts.sum() / n_mc, float(spread)
+
     levels = []
     for t in grid:
-        p_low = np.count_nonzero(hi <= t) / n_mc
-        p_up = np.count_nonzero(lo > 1.0 - t) / n_mc
+        p_low, se_low = corner(hi <= t)
+        p_up, se_up = corner(lo > 1.0 - t)
         levels.append(
             {
                 "t": t,
                 "lower": p_low / t,
                 "upper": p_up / t,
-                "lower_stderr": float(np.sqrt(max(p_low * (1 - p_low), 0.0) / n_mc) / t),
-                "upper_stderr": float(np.sqrt(max(p_up * (1 - p_up), 0.0) / n_mc) / t),
+                "lower_stderr": se_low / t,
+                "upper_stderr": se_up / t,
             }
         )
     result = {"levels": levels, "n_mc": n_mc}

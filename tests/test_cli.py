@@ -77,6 +77,17 @@ class TestSynth:
         b = (tmp_path / "b" / "synthetic.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("flavor", cli.SYNTH_FLAVORS)
+    def test_generator_draws_iid_uniforms(self, flavor, monkeypatch):
+        # the synthetic data keep the i.i.d. vine draw; the shifted nets of
+        # vine.simulate are for the Monte Carlo measures only
+        def net_draw(*args, **kwargs):
+            raise AssertionError("the generator drew from the net sampler")
+
+        monkeypatch.setattr(vine, "simulate", net_draw)
+        records = cli.generate_synthetic_records(60, seed=3, flavor=flavor, hours=(3, 12))
+        assert len(records) == 120
+
     def test_different_seed_different_bytes(self, tmp_path, capsys):
         for name, seed in (("a", "1"), ("b", "2")):
             invoke(
@@ -254,7 +265,7 @@ class TestClaytonGenerator:
             420, seed=6, flavor="clayton", hours=(3,)
         )
         panel = slice_hour(records, 3)
-        _, model = pipeline.fit_hour(panel, pipeline.AnalysisConfig())
+        _, model = pipeline.fit_hour(panel)
         u = vine.simulate(model, 200_000, seed=77)
         price_given_demand = np.column_stack([u[:, 0], u[:, 1]])
         lam = taildep.lambda_kendall(price_given_demand)
@@ -403,6 +414,32 @@ class TestSimulate:
         values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert values.shape == (500, 3)
         assert np.all((values > 0.0) & (values < 1.0))
+
+    def test_simulate_writes_the_iid_draw(self, data_csv, tmp_path, capsys, monkeypatch):
+        # a stored vine is drawn i.i.d., as before the measures' draw
+        # became shifted Sobol nets
+        code, out, _ = invoke(
+            ["fit-vine", "--data", data_csv, "--hour", "12", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        model = vine.VineModel.from_json_dict(
+            json.load(open(out["artifacts"]["vine"]))["vine"]
+        )
+
+        def net_draw(*args, **kwargs):
+            raise AssertionError("simulate drew from the net sampler")
+
+        monkeypatch.setattr(vine, "simulate", net_draw)
+        code, _, _ = invoke(
+            ["simulate", "--model", out["artifacts"]["vine"], "--n", "300",
+             "--seed", "8", "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 0
+        lines = (tmp_path / "sim" / "simulated_u.csv").read_text().splitlines()
+        values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(values, vine.simulate_iid(model, 300, seed=8))
 
     def test_missing_model_file(self, tmp_path, capsys):
         code, out, err = invoke(

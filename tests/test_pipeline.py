@@ -281,7 +281,7 @@ class TestRunGlobal:
         # at quadrivariate hour 12 they would silently leave solar out
         config = small_config(hours=(3,), scenarios=("HL", "LH:L"))
 
-        def no_fit(panel, config):
+        def no_fit(panel):
             raise AssertionError("the hour was fitted")
 
         monkeypatch.setattr(pipeline, "fit_hour", no_fit)
@@ -380,7 +380,7 @@ class TestRunGlobal:
             return real_fit(pseudo_obs)
 
         monkeypatch.setattr(pipeline.vine, "fit_auto", spy)
-        fits, _ = pipeline.fit_hour(panels[hour], small_config())
+        fits, _ = pipeline.fit_hour(panels[hour])
         (u,) = seen
         # price loses 7 rows to its lags; every column ends on the last date
         rows = len(panels[hour].dates) - 7
@@ -493,10 +493,10 @@ class TestRunRolling:
         fit_hour = pipeline.fit_hour
         third_start = panel_300.dates[2 * 20]
 
-        def failing_on_the_third_window(panel, config):
+        def failing_on_the_third_window(panel):
             if panel.dates[0] == third_start and len(panel.dates) == 200:
                 raise SelectionError("no candidate fits")
-            return fit_hour(panel, config)
+            return fit_hour(panel)
 
         monkeypatch.setattr(pipeline, "fit_hour", failing_on_the_third_window)
         roll = pipeline.run_rolling({3: panel_300}, rolling_config())[0]

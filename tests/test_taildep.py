@@ -671,6 +671,35 @@ def recording_counts(monkeypatch):
     return calls
 
 
+#: pair models of the net-draw error-bar check, each embedded as the pair (0, 1)
+NET_DRAW_PAIRS = (
+    BivariateCopula("gaussian", 0, (0.5,)),
+    BivariateCopula("clayton", 0, (2.0,)),
+)
+
+
+class TestBinomialStderrOnNetDraws:
+    @pytest.mark.parametrize("copula", NET_DRAW_PAIRS, ids=lambda c: c.family)
+    def test_binomial_stderr_is_at_least_the_spread_over_seeds(self, copula):
+        # lambda_K and the scenarios keep the binomial stderr of i.i.d. rows;
+        # on the shifted nets of vine.simulate it must not understate the
+        # spread over 40 seeds, at the default sizes of 40 000 and 20 000 rows
+        model = three_var_model(copula)
+        draws = {"lambda lower": [], "lambda upper": [], "scenario HH": []}
+        for seed in range(40):
+            u = vine.simulate(model, 40_000, seed)[:, :2]
+            lam = lambda_kendall(u, (0.05,))
+            for side in ("lower", "upper"):
+                draws[f"lambda {side}"].append(
+                    (lam[side].values[0], lam[side].stderrs[0])
+                )
+            (res,) = scenario_tail_coefficient(u[:20_000], (("H", "H"),), 0.05, 0.05)
+            draws["scenario HH"].append((res.value, res.mc_stderr))
+        for name, pairs in draws.items():
+            values, stderrs = np.array(pairs).T
+            assert stderrs.mean() >= values.std(ddof=1), name
+
+
 class TestScenarioOrthants:
     @pytest.mark.parametrize("n_cond", [1, 2, 3])
     def test_every_direction_matches_the_reflected_reference(

@@ -504,6 +504,120 @@ class TestSimulate:
         model = embedded_pair_model(BivariateCopula("independence"))
         with pytest.raises(DomainError):
             vine.simulate(model, 0, seed=1)
+        with pytest.raises(DomainError):
+            vine.simulate_iid(model, 0, seed=1)
+
+
+def independence_vine(n_vars):
+    """C-vine of independence edges: each column of a draw is one uniform column."""
+    trees = [
+        [VineEdge((k, j), tuple(range(k))) for j in range(k + 1, n_vars)]
+        for k in range(n_vars - 1)
+    ]
+    indep = BivariateCopula("independence")
+    return manual_model(trees, {e: indep for tree in trees for e in tree})
+
+
+class TestShiftedNets:
+    @pytest.mark.parametrize("k", [0, 4, 10])
+    def test_every_stream_stratifies_every_column(self, k):
+        # a Sobol net of 2^k points puts one point in each interval of
+        # width 2^-k in every coordinate, and a digital shift keeps that
+        u = vine.simulate(independence_vine(4), vine.N_STREAMS * 2**k, seed=k)
+        for r in range(vine.N_STREAMS):
+            cells = np.floor(u[r :: vine.N_STREAMS] * 2**k).astype(np.int64)
+            for j in range(4):
+                assert np.array_equal(np.sort(cells[:, j]), np.arange(2**k))
+
+    @pytest.mark.parametrize("d", range(1, len(vine._SOBOL_DIMENSIONS) + 1))
+    def test_net_is_scipys_unscrambled_sobol_net(self, d):
+        for k in (0, 1, 6, 14):
+            points = stats.qmc.Sobol(d, scramble=False).random_base2(k)
+            expected = (points * 2.0**30).astype(np.uint32)
+            assert np.array_equal(vine._sobol_net(d, k), expected), k
+
+    def test_a_vine_wider_than_the_net_table_is_refused(self):
+        model = independence_vine(len(vine._SOBOL_DIMENSIONS) + 1)
+        with pytest.raises(DomainError, match="simulate_iid"):
+            vine.simulate(model, 100, seed=1)
+        assert vine.simulate_iid(model, 100, seed=1).shape == (100, model.structure.n_vars)
+
+    def test_no_column_repeats_a_value(self):
+        # a 30-bit shift alone keeps every value on the net's 2^-30 grid:
+        # two streams whose shifts agree below the net's own bits then
+        # repeat each other's values, which sends the measures to their
+        # tie-aware paths.  Random digits below the grid rule that out.
+        model = independence_vine(4)
+        for seed in range(20):
+            u = vine.simulate(model, 40_000, seed=seed)
+            for j in range(4):
+                assert np.unique(u[:, j]).size == len(u), (seed, j)
+            assert np.count_nonzero(u * 2.0**30 % 1.0 == 0.0) == 0, seed
+
+    def test_simulate_iid_pushes_iid_uniforms_through_the_vine(self):
+        model = embedded_pair_model(BivariateCopula("clayton", 0, (1.5,)))
+        w = np.random.default_rng(9).random((2000, 3))
+        expected = vine._simulate_from_uniforms(model, w)
+        assert np.array_equal(vine.simulate_iid(model, 2000, seed=9), expected)
+        assert not np.array_equal(vine.simulate(model, 2000, seed=9), expected)
+
+
+#: pair models of the error-bar checks, each embedded as the pair (0, 1)
+ERROR_BAR_PAIRS = (
+    BivariateCopula("gaussian", 0, (0.5,)),
+    BivariateCopula("clayton", 0, (2.0,)),
+)
+ERROR_BAR_SEEDS = range(40)
+#: 40 seeds give the sd of an estimate to about 11 %, so a mean reported
+#: stream stderr outside this band around it (about 3 such errors either
+#: way) is not an honest error bar.  Fixed before the first run.
+STDERR_RATIO_BAND = (0.7, 1.45)
+
+
+class TestStreamStandardErrors:
+    @pytest.mark.parametrize("copula", ERROR_BAR_PAIRS, ids=lambda c: c.family)
+    def test_spearman_stderr_matches_the_spread_over_seeds(self, copula):
+        model = embedded_pair_model(copula)
+        runs = [
+            vine.induced_spearman(vine.simulate(model, 16_384, seed), 16_384)
+            for seed in ERROR_BAR_SEEDS
+        ]
+        rho = np.array([r for r, _ in runs])
+        se = np.array([s for _, s in runs])
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            ratio = se[:, a, b].mean() / rho[:, a, b].std(ddof=1)
+            assert STDERR_RATIO_BAND[0] < ratio < STDERR_RATIO_BAND[1], (a, b, ratio)
+
+    @pytest.mark.parametrize("copula", ERROR_BAR_PAIRS, ids=lambda c: c.family)
+    def test_tdc_stderr_matches_the_spread_over_seeds(self, copula):
+        model = embedded_pair_model(copula)
+        grid = (0.05, 0.01)
+        runs = [
+            vine.induced_pair_tdc(vine.simulate(model, 65_536, seed), (0, 1), grid, 65_536)
+            for seed in ERROR_BAR_SEEDS
+        ]
+        for k in range(len(grid)):
+            for side in ("lower", "upper"):
+                levels = [run["levels"][k] for run in runs]
+                values = [level[side] for level in levels]
+                reported = np.mean([level[f"{side}_stderr"] for level in levels])
+                ratio = reported / np.std(values, ddof=1)
+                assert STDERR_RATIO_BAND[0] < ratio < STDERR_RATIO_BAND[1], (
+                    grid[k], side, ratio
+                )
+
+    def test_tdc_stderr_is_the_stream_spread(self):
+        # stream r holds rows r, r + 16, ... of the prefix, also when the
+        # prefix is not a whole number of rounds
+        u = np.random.default_rng(4).random((10_007, 3))
+        res = vine.induced_pair_tdc(u, (0, 2), (0.05,), n_mc=10_003)
+        hi = np.maximum(u[:10_003, 0], u[:10_003, 2])
+        shares = [
+            np.mean(hi[r :: vine.N_STREAMS] <= 0.05) for r in range(vine.N_STREAMS)
+        ]
+        expected = np.std(shares, ddof=1) / np.sqrt(vine.N_STREAMS) / 0.05
+        assert_allclose(res["levels"][0]["lower_stderr"], expected, rtol=1e-12)
+        assert res["levels"][0]["lower"] == np.count_nonzero(hi <= 0.05) / 10_003 / 0.05
 
 
 class TestInducedMeasures:
@@ -574,8 +688,9 @@ class TestInducedMeasures:
         rho, se = vine.induced_spearman(u, n_mc)
         assert len(calls) == 0
         assert np.array_equal(rho, expected[0]) and np.array_equal(se, expected[1])
-        # a tie in one column sends the prefix and the stacked batches back
-        u[1, 2] = u[0, 2]
+        # a tie within one stream (rows 0 and 16) sends the prefix and the
+        # stacked streams back
+        u[16, 2] = u[0, 2]
         vine.induced_spearman(u, n_mc)
         assert len(calls) == 2
 
@@ -665,6 +780,9 @@ def _uniform(d):
 # sampler, called with size n
 _SIZED = {
     "vine.simulate": lambda n: vine.simulate(
+        embedded_pair_model(BivariateCopula("independence")), n, seed=1
+    ),
+    "vine.simulate_iid": lambda n: vine.simulate_iid(
         embedded_pair_model(BivariateCopula("independence")), n, seed=1
     ),
     "copula_oracle.sample": lambda n: copula_oracle.sample(
