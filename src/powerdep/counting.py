@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 # rows per direct-comparison block at the bottom of the recursion; a power
 # of two, so blocks align with every level's segments
 _LEAF = 32
@@ -36,9 +38,9 @@ def _as_points(points):
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty (m, d) array")
+        raise DomainError("points must be a non-empty (m, d) array")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+        raise DomainError("points must be finite")
     return pts
 
 
@@ -177,7 +179,7 @@ def cross_weak_counts(reference, queries):
     ref = _as_points(reference)
     qry = _as_points(queries)
     if ref.shape[1] != qry.shape[1]:
-        raise ValueError("reference and queries must share a column count")
+        raise DomainError("reference and queries must share a column count")
     m = ref.shape[0]
     union = np.vstack([ref, qry])
     keys = 2 * np.column_stack(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from powerdep import counting, taildep
+from powerdep.errors import DomainError
 from counting_oracle import brute_counts
 
 
@@ -107,10 +108,17 @@ def test_comonotone_counts_are_ranks():
 
 
 def test_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        counting.strict_dominance_counts(np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        counting.strict_dominance_counts(np.array([[0.1, np.nan]]))
+    # a stable error code, so a study records a bad sample as a domain failure
+    for points in (np.empty((0, 2)), np.array([[0.1, np.nan]])):
+        with pytest.raises(DomainError) as info:
+            counting.strict_dominance_counts(points)
+        assert info.value.code == "domain"
+
+
+def test_cross_counts_reject_a_column_count_mismatch():
+    with pytest.raises(DomainError, match="column count") as info:
+        counting.cross_weak_counts(np.zeros((3, 2)), np.zeros((2, 3)))
+    assert info.value.code == "domain"
 
 
 @given(
